@@ -1,5 +1,5 @@
 //! Profiling aid: decomposes observability overhead on the batch-64
-//! pipeline into (bare run) vs (telemetry, no spans) vs (telemetry +
+//! pipeline (one pool worker) into (bare run) vs (telemetry, no spans) vs (telemetry +
 //! sampled spans), so a regression in the `validate_bench.py` tracing
 //! gate can be attributed to the right layer.
 //!
@@ -36,7 +36,7 @@ fn main() {
         send_timeout: Duration::from_secs(60),
         seed: 0xBE9C4,
         batch_size: 64,
-        executor: ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool { workers: 1 },
         ..EngineConfig::default()
     };
     let reps = 3;

@@ -1,15 +1,15 @@
-//! Runtime throughput suite: executor × worker count × batch size on each
-//! topology shape, with steady-state allocation accounting.
+//! Runtime throughput suite: worker count × batch size on each topology
+//! shape, with steady-state allocation accounting.
 //!
-//! Every topology runs under the thread-per-actor executor and under the
-//! cooperative worker pool at worker counts {1, 2, 4}, each with envelope
-//! batch sizes {1, 8, 64}; operators are pass-throughs (or a monomorphized
+//! Every topology runs on the cooperative worker pool at worker counts
+//! {1, 2, 4}, each with envelope batch sizes {1, 8, 64}; operators are
+//! pass-throughs (or a monomorphized
 //! fused chain, see below), so wall-clock is dominated by mailbox
 //! synchronization and scheduling — exactly the costs that envelope
 //! batching amortizes and the pool's run-until-blocked scheduling removes.
 //! Results land in `BENCH_runtime.json` at the current directory (override
-//! with `--out PATH`), one record per (topology, executor, workers, batch
-//! size) with the measured tuples/sec, the speedup over that
+//! with `--out PATH`), one record per (topology, workers, batch size) with
+//! the measured tuples/sec, the speedup over that
 //! configuration's unbatched run, and the *differential allocation count*
 //! per tuple.
 //!
@@ -38,9 +38,9 @@
 //! monomorphization.
 //!
 //! The suite closes with a tracing-overhead measurement: the batch-64
-//! pipeline re-run with the sampled span flight recorder armed (one
-//! anchor every 64 tuples), emitted as the `tracing` section — the
-//! validator gates traced throughput at >= 0.95x untraced.
+//! pipeline on one worker re-run with the sampled span flight recorder
+//! armed (one anchor every 64 tuples), emitted as the `tracing` section —
+//! the validator gates traced throughput at >= 0.95x untraced.
 //!
 //! # Serving measurements (schema /5)
 //!
@@ -210,18 +210,9 @@ fn replicated(items: u64) -> (ActorGraph, spinstreams_runtime::ActorId) {
     (g, k)
 }
 
-struct ExecCfg {
-    /// `"threads"` or `"pool"` — the record's `executor` field.
-    label: &'static str,
-    kind: ExecutorKind,
-    /// Pool worker count; `None` for thread-per-actor.
-    workers: Option<usize>,
-}
-
 struct Record {
     topology: &'static str,
-    executor: &'static str,
-    workers: Option<usize>,
+    workers: usize,
     batch_size: usize,
     items: u64,
     wall_s: f64,
@@ -276,18 +267,6 @@ fn main() {
             build: replicated,
         },
     ];
-    let mut execs = vec![ExecCfg {
-        label: "threads",
-        kind: ExecutorKind::ThreadPerActor,
-        workers: None,
-    }];
-    for w in WORKER_COUNTS {
-        execs.push(ExecCfg {
-            label: "pool",
-            kind: ExecutorKind::Pool { workers: w },
-            workers: Some(w),
-        });
-    }
 
     let mut records: Vec<Record> = Vec::new();
     println!(
@@ -302,7 +281,7 @@ fn main() {
         if only.as_deref().is_some_and(|t| t != shape.name) {
             continue;
         }
-        for exec in &execs {
+        for workers in WORKER_COUNTS {
             let mut base_rate = 0.0f64;
             for batch_size in BATCH_SIZES {
                 let cfg = EngineConfig {
@@ -312,7 +291,7 @@ fn main() {
                     send_timeout: Duration::from_secs(60),
                     seed: 0xBE9C4,
                     batch_size,
-                    executor: exec.kind,
+                    executor: ExecutorKind::Pool { workers },
                     ..EngineConfig::default()
                 };
                 // Differential allocation accounting: the 2N run repeats
@@ -333,8 +312,8 @@ fn main() {
                 println!(
                     "{:<12} {:>8} {:>7} {:>6} {:>9.3}s {:>14.0} {:>8.2}x {:>12.4}",
                     shape.name,
-                    exec.label,
-                    exec.workers.map_or("-".into(), |w| w.to_string()),
+                    "pool",
+                    workers,
                     batch_size,
                     wall_s,
                     rate,
@@ -343,8 +322,7 @@ fn main() {
                 );
                 records.push(Record {
                     topology: shape.name,
-                    executor: exec.label,
-                    workers: exec.workers,
+                    workers,
                     batch_size,
                     items,
                     wall_s,
@@ -356,8 +334,8 @@ fn main() {
         }
     }
 
-    // Tracing-overhead measurement: the batch-64 pipeline under
-    // thread-per-actor, untraced vs the sampled flight recorder (one span
+    // Tracing-overhead measurement: the batch-64 pipeline on one worker,
+    // untraced vs the sampled flight recorder (one span
     // anchor every 64 tuples). Longer runs than the sweep (sampler
     // start/stop is a fixed cost that must amortize, not dominate) and
     // best-of-five per side to shake scheduler noise out of the ratio the
@@ -370,7 +348,7 @@ fn main() {
         send_timeout: Duration::from_secs(60),
         seed: 0xBE9C4,
         batch_size: 64,
-        executor: ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool { workers: 1 },
         ..EngineConfig::default()
     };
     let tcfg = TelemetryConfig::default()
@@ -401,7 +379,7 @@ fn main() {
     }
     let tracing_ratio = traced_rate / untraced_rate;
     println!(
-        "tracing overhead (pipeline, threads, batch 64, 1/{SPAN_SAMPLE} sampled): \
+        "tracing overhead (pipeline, pool 1 worker, batch 64, 1/{SPAN_SAMPLE} sampled): \
          {untraced_rate:.0} untraced vs {traced_rate:.0} traced tuples/s \
          ({tracing_ratio:.3}x, {span_events} span event(s) retained)"
     );
@@ -520,15 +498,14 @@ fn main() {
     let _ = writeln!(json, "  \"results\": [");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
-        let workers = r.workers.map_or("null".into(), |w: usize| w.to_string());
         let _ = writeln!(
             json,
-            "    {{\"topology\": \"{}\", \"executor\": \"{}\", \"workers\": {workers}, \
+            "    {{\"topology\": \"{}\", \"executor\": \"pool\", \"workers\": {}, \
              \"batch_size\": {}, \"items\": {}, \
              \"wall_s\": {:.6}, \"tuples_per_sec\": {:.1}, \"speedup_vs_batch1\": {:.3}, \
              \"allocs_per_tuple\": {:.6}}}{comma}",
             r.topology,
-            r.executor,
+            r.workers,
             r.batch_size,
             r.items,
             r.wall_s,
@@ -540,7 +517,7 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"tracing\": {{\"topology\": \"pipeline\", \"executor\": \"threads\", \
+        "  \"tracing\": {{\"topology\": \"pipeline\", \"executor\": \"pool\", \"workers\": 1, \
          \"batch_size\": 64, \"span_sample\": {SPAN_SAMPLE}, \"items\": {trace_items}, \
          \"untraced_tuples_per_sec\": {untraced_rate:.1}, \
          \"traced_tuples_per_sec\": {traced_rate:.1}, \

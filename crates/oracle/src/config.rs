@@ -76,11 +76,9 @@ pub struct OracleConfig {
     /// (shorter runs fill fewer windows), and the threaded layer's
     /// selectivity ratios are compared against the sim run's.
     pub threaded_items: u64,
-    /// Worker-pool executor for the threaded smoke layer: `Some(n)` runs
-    /// actors on a pool of `n` cooperative workers (`Some(0)` = one per
-    /// core), `None` keeps thread-per-actor. The oracle's comparisons must
-    /// hold under either scheduling discipline.
-    pub workers: Option<usize>,
+    /// Worker-pool size for the threaded smoke layer (`0` = one per
+    /// core). The oracle's comparisons must hold at any worker count.
+    pub workers: usize,
     /// Core-pinning policy for the threaded smoke layer
     /// (`EngineConfig::pinning`): the comparisons must also hold when the
     /// engine pins its threads and shards actors by stage.
@@ -106,7 +104,7 @@ impl Default for OracleConfig {
             check_fusion: true,
             threaded_runs: 4,
             threaded_items: 6_000,
-            workers: None,
+            workers: 0,
             pinning: PinningConfig::default(),
             minimize: true,
             minimize_budget: 200,

@@ -66,18 +66,14 @@ pub fn sim_executor(seed: u64) -> Executor {
     })
 }
 
-/// The threaded executor used by the smoke layer: thread-per-actor by
-/// default, or the worker-pool executor when `workers` is set (`Some(0)`
-/// = one worker per core). The oracle's rate comparisons must hold under
-/// either scheduling discipline — and under core pinning, which reorders
-/// nothing semantically but changes every thread's placement.
-pub fn threaded_executor(seed: u64, workers: Option<usize>, pinning: &PinningConfig) -> Executor {
+/// The threaded executor used by the smoke layer: a pool of `workers`
+/// workers (`0` = one per core). The oracle's rate comparisons must hold
+/// at any worker count — and under core pinning, which reorders nothing
+/// semantically but changes every thread's placement.
+pub fn threaded_executor(seed: u64, workers: usize, pinning: &PinningConfig) -> Executor {
     Executor::Threads(EngineConfig {
         seed,
-        executor: match workers {
-            Some(n) => ExecutorKind::Pool { workers: n },
-            None => ExecutorKind::ThreadPerActor,
-        },
+        executor: ExecutorKind::Pool { workers },
         pinning: pinning.clone(),
         ..EngineConfig::default()
     })

@@ -8,8 +8,10 @@
 //! 2. the **discrete-event simulator** — the virtual-time executor under
 //!    pure synthetic service times, which realizes the model's assumptions
 //!    almost exactly;
-//! 3. the **threaded runtime** — a smoke-scale thread-per-actor run, held
-//!    only to load-independent invariants (selectivity ratios, no drops).
+//! 3. the **threaded runtime** — a smoke-scale run on the worker pool (one
+//!    worker per core unless `workers` says otherwise), held only to
+//!    load-independent invariants (selectivity ratios, no drops). The
+//!    simulator is where the paper's one-thread-per-actor assumption lives.
 //!
 //! For each seeded [`scenario`] the [`sweep`](run_sweep) calibrates on the
 //! simulator (§4.1), predicts, measures, and [`compares`](compare_layer)

@@ -17,14 +17,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Core-pinning policy for an engine run.
 ///
 /// An empty core list disables pinning entirely (the default). With cores
-/// `[c0, c1, …]` the engine pins, in stage order:
-///
-/// * **thread-per-actor** — actors are sharded by topological stage
-///   (Kahn rank): contiguous rank bands map onto the core list, so an
-///   operator and its downstream neighbour land on the same or adjacent
-///   cores and their connecting ring stays core-local;
-/// * **worker pool** — pool worker `w` is pinned to `cores[w % len]`;
-///   source threads are pinned round-robin over the list.
+/// `[c0, c1, …]` pool worker `w` is pinned to `cores[w % len]` and source
+/// thread `s` to the cores after the workers', `cores[(workers + s) % len]`,
+/// so a source shares a core with a worker only when the list is shorter
+/// than workers plus sources. Single-tenant runs also shard the pool's
+/// ready queue by topological stage (Kahn rank): contiguous rank bands map
+/// onto the workers, so an operator and its downstream neighbour are run
+/// by the same core and their connecting ring stays core-local.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PinningConfig {
     /// The cores to pin onto, in stage order. Empty = no pinning.
@@ -45,6 +44,18 @@ impl PinningConfig {
     /// True if a core list was configured.
     pub fn is_enabled(&self) -> bool {
         !self.cores.is_empty()
+    }
+
+    /// The core pool worker `w` is pinned to (`None` when disabled).
+    pub(crate) fn worker_core(&self, w: usize) -> Option<usize> {
+        (!self.cores.is_empty()).then(|| self.cores[w % self.cores.len()])
+    }
+
+    /// The core source thread `s` is pinned to beside a pool of `workers`
+    /// workers: sources take the cores after the workers' (`None` when
+    /// disabled).
+    pub(crate) fn source_core(&self, workers: usize, s: usize) -> Option<usize> {
+        self.worker_core(workers + s)
     }
 
     /// Parses a comma-separated core list, e.g. `"0,1,3"`.
@@ -127,6 +138,18 @@ mod tests {
         assert!(PinningConfig::parse("a,b").is_err());
         assert!(PinningConfig::parse("1,1").is_err());
         assert!(PinningConfig::parse("-1").is_err());
+    }
+
+    #[test]
+    fn sources_are_placed_after_the_workers() {
+        let cfg = PinningConfig::on_cores(vec![0, 1]);
+        // One worker and one source on two cores never share a core.
+        assert_eq!(cfg.worker_core(0), Some(0));
+        assert_eq!(cfg.source_core(1, 0), Some(1));
+        // Past the list's end placement wraps around.
+        assert_eq!(cfg.source_core(1, 1), Some(0));
+        assert_eq!(cfg.worker_core(2), Some(0));
+        assert_eq!(PinningConfig::disabled().source_core(1, 0), None);
     }
 
     #[test]

@@ -2,17 +2,21 @@
 //! end-of-stream propagation, and per-actor supervision of panicking
 //! operators (see [`crate::supervision`]).
 //!
-//! Two executors are available (see [`ExecutorKind`]): the classic
-//! thread-per-actor configuration of §5.1, and a fixed-size cooperative
-//! worker pool that multiplexes ready actors over a handful of OS threads —
-//! the SS2Akka decoupling of logical operators from runtime executors (§4),
-//! which keeps fission-inflated graphs from oversubscribing cores.
+//! There is one threaded executor: sources run on dedicated threads (they
+//! pace wall-clock emission schedules) and every worker actor is a task
+//! multiplexed over a fixed-size cooperative worker pool — the SS2Akka
+//! decoupling of logical operators from runtime executors (§4), which keeps
+//! fission-inflated graphs from oversubscribing cores. A producer blocked on
+//! a full mailbox helps run ready downstream tasks instead of parking its
+//! thread, and still sheds load after `send_timeout` (BAS, §5.1). The
+//! paper's "one dedicated thread per actor" assumption (§5.1) is reproduced
+//! on the virtual-time simulator ([`crate::sim`]), where it costs no cores.
 
 use crate::affinity::{pin_current_thread, PinningConfig};
 use crate::checkpoint::{CheckpointCoordinator, ReplayBuffer, StateSnapshot};
 use crate::graph::{ActorGraph, ActorSpec, Behavior, SourceConfig};
 use crate::mailbox::{
-    channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, DepthProbe, Envelope, RecvBatch,
+    channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, DepthProbe, Envelope,
     SendOutcome, Sender, TryRecvBatch, TrySend,
 };
 use crate::metrics::{ActorMetrics, RunReport};
@@ -43,9 +47,6 @@ use std::time::{Duration, Instant};
 /// Which executor runs the actor graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// One dedicated OS thread per actor — the §5.1 configuration ("each
-    /// actor is associated with a dedicated thread"). The default.
-    ThreadPerActor,
     /// A fixed-size cooperative worker pool: sources keep dedicated
     /// threads (they pace wall-clock emission schedules), while worker
     /// actors are multiplexed over `workers` OS threads with a
@@ -53,24 +54,27 @@ pub enum ExecutorKind {
     /// of actors then run on a handful of cores without context-switch
     /// thrash.
     Pool {
-        /// Worker thread count; `0` means
-        /// [`std::thread::available_parallelism`].
+        /// Worker thread count; `0` (the default) means one per core —
+        /// [`std::thread::available_parallelism`], or one per pinned core
+        /// (see [`EngineConfig::resolved_pool_workers`]).
         workers: usize,
     },
 }
 
+impl Default for ExecutorKind {
+    fn default() -> Self {
+        ExecutorKind::Pool { workers: 0 }
+    }
+}
+
 impl ExecutorKind {
-    /// Resolves the configured worker count for [`ExecutorKind::Pool`]
-    /// (`0` → available parallelism), or `None` for thread-per-actor.
-    pub fn pool_workers(self) -> Option<usize> {
+    /// Resolves the configured worker count (`0` → available parallelism).
+    pub fn pool_workers(self) -> usize {
         match self {
-            ExecutorKind::ThreadPerActor => None,
-            ExecutorKind::Pool { workers: 0 } => Some(
-                thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1),
-            ),
-            ExecutorKind::Pool { workers } => Some(workers),
+            ExecutorKind::Pool { workers: 0 } => thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+            ExecutorKind::Pool { workers } => workers,
         }
     }
 }
@@ -102,7 +106,7 @@ pub struct EngineConfig {
     /// streams never stall behind an unfilled batch. Irrelevant at
     /// `batch_size = 1`.
     pub flush_interval: Duration,
-    /// Which executor runs the graph (thread-per-actor by default).
+    /// Worker-pool size (one worker per core by default).
     pub executor: ExecutorKind,
     /// Epoch-aligned checkpointing: every source injects a numbered epoch
     /// marker after each `n` emitted items, workers align on the markers
@@ -125,12 +129,14 @@ pub struct EngineConfig {
     /// When a core list is given, actors are *sharded by topological
     /// stage*: every actor's Kahn rank is mapped onto a contiguous band of
     /// the list, so pipeline neighbours land on nearby cores and a stage's
-    /// working set stays in one cache domain. Thread-per-actor pins each
-    /// actor thread to its band's core; the pool executor pins worker `w`
-    /// to `cores[w % len]`, pins source threads round-robin, and splits its
-    /// ready queue into per-core shards (workers drain their own shard
-    /// first, then steal). On platforms without affinity support pinning
-    /// degrades to a warn-once no-op and the run proceeds unpinned.
+    /// working set stays in one cache domain: pool worker `w` is pinned to
+    /// `cores[w % len]` and the ready queue is split into per-core shards
+    /// (workers drain their own shard first, then steal). Source threads
+    /// take the cores after the workers' — source `s` of a pool with `W`
+    /// workers goes to `cores[(W + s) % len]` — so a source never shares a
+    /// core with a worker while the list has room for both. On platforms
+    /// without affinity support pinning degrades to a warn-once no-op and
+    /// the run proceeds unpinned.
     pub pinning: PinningConfig,
     /// Live reconfiguration handle. When installed, every actor checks a
     /// shared generation counter once per batch and applies posted
@@ -152,7 +158,7 @@ impl Default for EngineConfig {
             dead_letter_capacity: 4096,
             batch_size: 1,
             flush_interval: Duration::from_millis(1),
-            executor: ExecutorKind::ThreadPerActor,
+            executor: ExecutorKind::default(),
             checkpoint_interval: None,
             replay_capacity: 8192,
             pinning: PinningConfig::default(),
@@ -167,10 +173,10 @@ impl EngineConfig {
     /// pinned core list means one worker per *pinned* core — the threads
     /// are confined to that set, so sizing the pool by total machine
     /// parallelism would oversubscribe the allowed cores.
-    pub fn resolved_pool_workers(&self) -> Option<usize> {
+    pub fn resolved_pool_workers(&self) -> usize {
         match self.executor {
             ExecutorKind::Pool { workers: 0 } if !self.pinning.cores.is_empty() => {
-                Some(self.pinning.cores.len())
+                self.pinning.cores.len()
             }
             other => other.pool_workers(),
         }
@@ -303,20 +309,7 @@ pub(crate) fn validate(actors: &[ActorSpec]) -> Result<(), EngineError> {
         }
     }
     // Acyclicity (actor-level): BAS blocking on a cycle can deadlock.
-    let succ: Vec<Vec<usize>> = actors
-        .iter()
-        .map(|a| {
-            let mut s: Vec<usize> = a
-                .routes
-                .iter()
-                .flat_map(|r| r.destinations_iter())
-                .map(|d| d.0)
-                .collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        })
-        .collect();
+    let succ: Vec<Vec<usize>> = actors.iter().map(targets_of).collect();
     if !spinstreams_core::is_acyclic(n, &succ) {
         return Err(EngineError::Cyclic);
     }
@@ -379,12 +372,12 @@ struct DeliveryCtx {
     /// with four per distinct value.
     pending_lat_ns: u64,
     pending_lat_n: u64,
-    /// Present only under the pool executor: lets a blocked flush run
-    /// other ready actors instead of parking its worker thread.
-    pool: Option<Arc<PoolShared>>,
+    /// The worker pool: lets a blocked send run other ready actors
+    /// instead of parking its thread.
+    pool: Arc<PoolShared>,
     /// This actor's slot in the (possibly multi-tenant) pool: its tenant
     /// base offset plus its local actor id. Single-tenant runs have base
-    /// 0, so slot == actor id. Only meaningful when `pool` is `Some`.
+    /// 0, so slot == actor id.
     pool_slot: usize,
     /// Span-sampling mask (telemetry on, `span_sample > 0`): a data tuple
     /// is flight-recorded at every hop iff `seq & mask == 0`. `None`
@@ -537,17 +530,7 @@ impl DeliveryCtx {
         let sender = self.senders[dest]
             .as_ref()
             .expect("validated destination has a mailbox");
-        let outcome = match &self.pool {
-            // Pooled actors must not park their worker thread while a
-            // downstream mailbox is full — the consumer that would drain it
-            // may be waiting for this very thread. Help run ready actors
-            // instead of sleeping.
-            Some(pool) => {
-                let pool = Arc::clone(pool);
-                pool_send_batch(&pool, sender, &mut buf, self.send_timeout, self.pool_slot)
-            }
-            None => sender.send_batch(&mut buf, self.send_timeout),
-        };
+        let outcome = self.send_batch_helping(sender, &mut buf);
         if outcome.blocked > Duration::ZERO {
             let ns = outcome.blocked.as_nanos() as u64;
             self.metrics.blocked_ns.fetch_add(ns, Ordering::Relaxed);
@@ -624,46 +607,119 @@ impl DeliveryCtx {
         }
     }
 
-    /// Sends one EOS to every possible destination; EOS is never dropped.
-    fn propagate_eos(&mut self) {
-        // Coalesced data must drain before EOS: a worker counts EOS
-        // markers to terminate, and FIFO order is only meaningful if every
-        // buffered envelope precedes the marker in the mailbox.
+    /// Batched send that never parks the thread while the destination is
+    /// full: it runs other ready actors instead (the consumer that would
+    /// drain the mailbox may be waiting for this very thread), falling back
+    /// to 1 ms bounded blocking slices when nothing is runnable.
+    ///
+    /// BAS timeout contract: the send times out once the wall-clock wait
+    /// since this producer's last delivered envelope reaches
+    /// `send_timeout`, helping time included. The deadline is checked after
+    /// every help, before the send is retried, so a producer that keeps
+    /// helping a stalled consumer still sheds load. The returned `blocked`
+    /// excludes helping time, which [`help`](Self::help) charges to this
+    /// actor's `helping` counter instead — the helped actor already counts
+    /// that time as its own busy time.
+    fn send_batch_helping(&self, sender: &Sender, buf: &mut Vec<Envelope>) -> BatchOutcome {
+        let total = buf.len();
+        let fast = sender.try_send_batch(buf);
+        if buf.is_empty() || fast.disconnected {
+            return BatchOutcome {
+                delivered: total - buf.len(),
+                blocked: Duration::ZERO,
+                failure: (!buf.is_empty()).then_some(BatchFailure::Disconnected),
+            };
+        }
+        let timeout = self.send_timeout;
+        let slow_start = Instant::now();
+        let mut last_delivery = slow_start;
+        let mut helping = Duration::ZERO;
+        let failure = loop {
+            let before = buf.len();
+            if let Some(helped) = self.help() {
+                helping += helped;
+                if last_delivery.elapsed() >= timeout {
+                    break Some(BatchFailure::TimedOut);
+                }
+                if sender.try_send_batch(buf).disconnected {
+                    break Some(BatchFailure::Disconnected);
+                }
+            } else {
+                let slice = timeout
+                    .saturating_sub(last_delivery.elapsed())
+                    .min(Duration::from_millis(1));
+                if slice.is_zero() {
+                    break Some(BatchFailure::TimedOut);
+                }
+                // A timed-out 1 ms slice is not a verdict; the deadline
+                // check below decides.
+                if sender.send_batch(buf, slice).failure == Some(BatchFailure::Disconnected) {
+                    break Some(BatchFailure::Disconnected);
+                }
+            }
+            if buf.is_empty() {
+                break None;
+            }
+            if buf.len() < before {
+                last_delivery = Instant::now();
+            } else if last_delivery.elapsed() >= timeout {
+                break Some(BatchFailure::TimedOut);
+            }
+        };
+        BatchOutcome {
+            delivered: total - buf.len(),
+            blocked: slow_start.elapsed().saturating_sub(helping),
+            failure,
+        }
+    }
+
+    /// Runs one ready downstream task on this thread (see
+    /// [`run_one_ready`]) and charges the time to this actor's `helping`
+    /// counter. Returns the time spent, or `None` if nothing was runnable.
+    fn help(&self) -> Option<Duration> {
+        let t0 = Instant::now();
+        if !run_one_ready(&self.pool, self.pool_slot) {
+            return None;
+        }
+        let spent = t0.elapsed();
+        self.metrics
+            .helping_ns
+            .fetch_add(spent.as_nanos() as u64, Ordering::Relaxed);
+        Some(spent)
+    }
+
+    /// Sends a control envelope (EOS or an epoch marker) to every possible
+    /// destination. Control envelopes are never dropped: while a target
+    /// mailbox is full the thread helps run ready actors, falling back to
+    /// short bounded blocking slices when nothing is runnable. Coalesced
+    /// data drains first — FIFO order is what makes a marker a barrier, and
+    /// a worker counts EOS markers to terminate.
+    fn broadcast_control(&mut self, env: Envelope) {
         self.flush_all();
         for &d in &self.eos_targets {
-            if let Some(sender) = &self.senders[d] {
-                match &self.pool {
-                    // Pooled: keep running ready actors while the target
-                    // mailbox is full, falling back to short bounded
-                    // blocking slices when nothing is runnable.
-                    Some(pool) => {
-                        let pool = Arc::clone(pool);
-                        loop {
-                            match sender.try_send(Envelope::Eos) {
-                                TrySend::Sent | TrySend::Disconnected => break,
-                                TrySend::Full => {
-                                    if !run_one_ready(&pool, self.pool_slot) {
-                                        let out =
-                                            sender.send(Envelope::Eos, Duration::from_millis(1));
-                                        if out.delivered() || out == SendOutcome::Disconnected {
-                                            break;
-                                        }
-                                    }
-                                }
+            let Some(sender) = &self.senders[d] else {
+                continue;
+            };
+            loop {
+                match sender.try_send(env) {
+                    TrySend::Sent | TrySend::Disconnected => break,
+                    TrySend::Full => {
+                        if self.help().is_none() {
+                            let out = sender.send(env, Duration::from_millis(1));
+                            if out.delivered() || out == SendOutcome::Disconnected {
+                                break;
                             }
                         }
-                    }
-                    None => {
-                        // EOS must never be dropped: retry until delivered
-                        // (or the receiver is gone).
-                        while sender.send(Envelope::Eos, Duration::from_secs(3600))
-                            == SendOutcome::TimedOut
-                        {}
                     }
                 }
             }
         }
-        // Release all senders so downstream disconnect detection works.
+    }
+
+    /// Sends one EOS to every possible destination, then releases all
+    /// senders so downstream disconnect detection works.
+    fn propagate_eos(&mut self) {
+        self.broadcast_control(Envelope::Eos);
         for s in self.senders.iter_mut() {
             *s = None;
         }
@@ -671,41 +727,9 @@ impl DeliveryCtx {
 
     /// Sends one epoch marker to every destination (the same fan-out as
     /// EOS — markers, unlike routed data, must reach every downstream
-    /// actor). Markers are never dropped: they pace the whole barrier
-    /// protocol, so a lost marker would stall alignment forever. Coalesced
-    /// data drains first — FIFO order is what makes the marker a barrier.
+    /// actor). A lost marker would stall alignment forever.
     fn broadcast_marker(&mut self, epoch: u64) {
-        self.flush_all();
-        for &d in &self.eos_targets {
-            if let Some(sender) = &self.senders[d] {
-                match &self.pool {
-                    // Pooled: help run ready actors while the target
-                    // mailbox is full (same discipline as EOS).
-                    Some(pool) => {
-                        let pool = Arc::clone(pool);
-                        loop {
-                            match sender.try_send(Envelope::Epoch(epoch)) {
-                                TrySend::Sent | TrySend::Disconnected => break,
-                                TrySend::Full => {
-                                    if !run_one_ready(&pool, self.pool_slot) {
-                                        let out = sender
-                                            .send(Envelope::Epoch(epoch), Duration::from_millis(1));
-                                        if out.delivered() || out == SendOutcome::Disconnected {
-                                            break;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        while sender.send(Envelope::Epoch(epoch), Duration::from_secs(3600))
-                            == SendOutcome::TimedOut
-                        {}
-                    }
-                }
-            }
-        }
+        self.broadcast_control(Envelope::Epoch(epoch));
     }
 }
 
@@ -859,8 +883,7 @@ fn guarded_raw(f: impl FnOnce()) -> Result<(), Box<dyn Any + Send>> {
 }
 
 /// A worker actor's complete runnable state: operator, supervision,
-/// mailbox receiver, and delivery context. Thread-per-actor drives it with
-/// a blocking [`run_worker`] loop; the pool executor stores it in a
+/// mailbox receiver, and delivery context. The pool stores it in a
 /// [`PoolShared`] slot and drives it with non-blocking [`WorkerTask::poll`]
 /// calls whenever the actor is ready.
 struct WorkerTask {
@@ -1441,8 +1464,10 @@ impl WorkerTask {
         if self.reconfig.is_some() {
             self.poll_reconfig();
         }
-        let blocked0 = self.ctx.metrics.blocked_ns.load(Ordering::Relaxed);
-        let backoff0 = self.ctx.metrics.backoff_ns.load(Ordering::Relaxed);
+        let m = &self.ctx.metrics;
+        let waited0 = m.blocked_ns.load(Ordering::Relaxed)
+            + m.helping_ns.load(Ordering::Relaxed)
+            + m.backoff_ns.load(Ordering::Relaxed);
         let t0 = Instant::now();
         let finished = self.process_inbox();
         // Coalesced output never outlives the input batch that produced
@@ -1450,11 +1475,13 @@ impl WorkerTask {
         // latency.
         self.ctx.flush_all();
         let elapsed = t0.elapsed().as_nanos() as u64;
-        let waited = (self.ctx.metrics.blocked_ns.load(Ordering::Relaxed) - blocked0)
-            + (self.ctx.metrics.backoff_ns.load(Ordering::Relaxed) - backoff0);
-        self.ctx
-            .metrics
-            .busy_ns
+        // Blocked, helping and backoff time are not this actor's service.
+        let m = &self.ctx.metrics;
+        let waited = m.blocked_ns.load(Ordering::Relaxed)
+            + m.helping_ns.load(Ordering::Relaxed)
+            + m.backoff_ns.load(Ordering::Relaxed)
+            - waited0;
+        m.busy_ns
             .fetch_add(elapsed.saturating_sub(waited), Ordering::Relaxed);
         finished
     }
@@ -1679,8 +1706,8 @@ impl WorkerTask {
     /// paused tuples must flow before EOS. The old owners this actor is
     /// waiting on cannot be waiting on it in turn (they already have their
     /// extraction tokens and need no further input), so this terminates.
-    /// Under the pool executor the wait helps run downstream-ranked actors
-    /// instead of parking the worker thread.
+    /// The wait helps run downstream-ranked actors instead of parking the
+    /// worker thread.
     fn await_handoffs(&mut self) {
         loop {
             self.try_complete_handoffs();
@@ -1691,13 +1718,8 @@ impl WorkerTask {
             if !waiting {
                 return;
             }
-            match self.ctx.pool.clone() {
-                Some(pool) => {
-                    if !run_one_ready(&pool, self.ctx.pool_slot) {
-                        thread::yield_now();
-                    }
-                }
-                None => thread::sleep(Duration::from_micros(100)),
+            if self.ctx.help().is_none() {
+                thread::yield_now();
             }
         }
     }
@@ -1730,7 +1752,7 @@ impl WorkerTask {
         self.ctx.trace_event(TraceEventKind::ActorFinished);
     }
 
-    /// Pool-executor step: drain and process input batches until the
+    /// One scheduling step: drain and process input batches until the
     /// mailbox is momentarily empty (run-until-blocked), the actor
     /// finishes, or the poll budget is exhausted (multi-tenant fairness
     /// quantum — see [`WorkerTask::poll_budget`]).
@@ -1764,7 +1786,7 @@ impl WorkerTask {
     }
 }
 
-/// Outcome of one [`WorkerTask::poll`] activation under the pool executor.
+/// Outcome of one [`WorkerTask::poll`] activation.
 enum Polled {
     /// Mailbox momentarily empty; the task parks until the next wake.
     Blocked,
@@ -1773,37 +1795,6 @@ enum Polled {
     Yielded,
     /// EOS drained or all producers gone; the task is done for good.
     Finished,
-}
-
-/// The supervised worker loop (thread-per-actor executor): every operator
-/// invocation runs under `catch_unwind`; panics are handled per the
-/// actor's [`SupervisorSpec`]. Returns the actor's private dead-letter log
-/// for the shutdown merge.
-fn run_worker(mut task: WorkerTask) -> DeadLetterLog {
-    task.ctx.trace_event(TraceEventKind::ActorStarted);
-    // Batched intake: block for the first envelope, then drain whatever
-    // else is already queued (up to `batch_size`) under the same
-    // reservation. With `batch_size = 1` this is operation-for-operation
-    // the plain `recv` loop.
-    let intake = task.ctx.batch_size;
-    loop {
-        let mut inbox = std::mem::take(&mut task.inbox);
-        let drained = task.rx.recv_drain(&mut inbox, intake);
-        task.inbox = inbox;
-        match drained {
-            RecvBatch::Received(_) => {
-                // One clock read covers the whole drained batch.
-                task.ctx.refresh_now();
-                if task.process_batch() {
-                    break;
-                }
-            }
-            RecvBatch::Disconnected => break,
-        }
-    }
-    task.finish();
-    task.ctx.release_buffers();
-    std::mem::take(&mut task.ctx.dead_letters)
 }
 
 /// Task states for the pool executor's lost-wakeup-free scheduling
@@ -1866,8 +1857,7 @@ struct PoolShared {
     /// Worker tasks not yet `T_DONE`; pool threads exit when it hits zero.
     live: AtomicUsize,
     /// Uncontainable panics (outside `guarded_call`, e.g. a panicking
-    /// `reset`), by actor index — the thread-per-actor equivalent of a
-    /// dead actor thread.
+    /// `reset`), by actor index.
     failures: Mutex<Vec<(usize, String)>>,
     /// Finished tasks' private dead-letter logs, merged at shutdown.
     collected: Mutex<Vec<(usize, DeadLetterLog)>>,
@@ -2086,6 +2076,19 @@ impl PoolShared {
         }
     }
 
+    /// Stores `task` in `slot`. Its mailbox then wakes the pool on every
+    /// push burst and on final-sender drop, so the consumer gets scheduled
+    /// even while its producers are blocked mid-send.
+    fn install(pool: &Arc<PoolShared>, slot: usize, task: WorkerTask) {
+        let hook_pool = Arc::clone(pool);
+        task.rx
+            .set_wake_hook(Arc::new(move || hook_pool.wake(slot)));
+        task.ctx.trace_event(TraceEventKind::ActorStarted);
+        *pool.tasks[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(task);
+    }
+
     /// Claims the exclusive right to poll task `i`.
     fn claim(&self, i: usize) -> bool {
         self.states[i]
@@ -2097,9 +2100,8 @@ impl PoolShared {
 /// Polls claimed task `i` until it blocks (momentarily empty mailbox) or
 /// finishes. Caller must have won the `READY → RUNNING` claim. Panics that
 /// escape `poll` (i.e. outside `guarded_call`, such as a panicking
-/// `reset`) are recorded as uncontainable failures — the pool equivalent
-/// of a dead actor thread — and the actor is torn down, dropping its
-/// receiver so upstream observes disconnection exactly as in thread mode.
+/// `reset`) are recorded as uncontainable failures and the actor is torn
+/// down, dropping its receiver so upstream observes disconnection.
 fn run_task(pool: &Arc<PoolShared>, i: usize) {
     loop {
         let mut slot = pool.tasks[i].lock().unwrap_or_else(PoisonError::into_inner);
@@ -2264,82 +2266,12 @@ fn worker_loop(pool: &Arc<PoolShared>, home: usize) {
     }
 }
 
-/// Batched send for pooled actors: never parks the worker thread while the
-/// destination is full — it runs other ready actors instead (the consumer
-/// that would drain the mailbox may be waiting for this very thread),
-/// falling back to 1 ms bounded blocking slices when nothing is runnable.
-/// Mirrors `send_batch`'s per-slot timeout: the window restarts whenever
-/// any envelope is delivered. The reported `blocked` duration includes
-/// time spent helping — it is an advisory backpressure signal, not pure
-/// park time.
-fn pool_send_batch(
-    pool: &Arc<PoolShared>,
-    sender: &Sender,
-    buf: &mut Vec<Envelope>,
-    timeout: Duration,
-    helper_slot: usize,
-) -> BatchOutcome {
-    let total = buf.len();
-    let fast = sender.try_send_batch(buf);
-    if buf.is_empty() || fast.disconnected {
-        return BatchOutcome {
-            delivered: total - buf.len(),
-            blocked: Duration::ZERO,
-            failure: if buf.is_empty() {
-                None
-            } else {
-                Some(BatchFailure::Disconnected)
-            },
-        };
-    }
-    let slow_start = Instant::now();
-    let mut window = slow_start;
-    let failure = loop {
-        if buf.is_empty() {
-            break None;
-        }
-        let before = buf.len();
-        if run_one_ready(pool, helper_slot) {
-            let r = sender.try_send_batch(buf);
-            if r.disconnected {
-                break Some(BatchFailure::Disconnected);
-            }
-            if buf.len() < before {
-                window = Instant::now();
-            }
-        } else {
-            let remaining = timeout.saturating_sub(window.elapsed());
-            let slice = remaining.min(Duration::from_millis(1));
-            if slice.is_zero() {
-                break Some(BatchFailure::TimedOut);
-            }
-            let out = sender.send_batch(buf, slice);
-            if out.delivered > 0 {
-                window = Instant::now();
-            }
-            if out.failure == Some(BatchFailure::Disconnected) {
-                break Some(BatchFailure::Disconnected);
-            }
-            // A timed-out 1 ms slice is not a verdict; the window check
-            // below decides.
-        }
-        if window.elapsed() >= timeout {
-            break Some(BatchFailure::TimedOut);
-        }
-    };
-    BatchOutcome {
-        delivered: total - buf.len(),
-        blocked: slow_start.elapsed(),
-        failure,
-    }
-}
-
 /// Executes the actor graph to completion and reports measured metrics.
 ///
-/// Every actor runs on a dedicated thread (the §5.1 configuration: "each
-/// actor is associated with a dedicated thread"). The run ends when all
-/// sources have produced their configured item counts and the end-of-stream
-/// markers have drained through the graph.
+/// Sources run on dedicated threads and worker actors on the worker pool
+/// (see [`ExecutorKind`]). The run ends when all sources have produced
+/// their configured item counts and the end-of-stream markers have drained
+/// through the graph.
 ///
 /// Worker actors are supervised: a panicking operator is caught and
 /// handled per the actor's [`SupervisorSpec`] (resume, restart with
@@ -2350,8 +2282,8 @@ fn pool_send_batch(
 /// # Errors
 ///
 /// Returns an [`EngineError`] if the graph fails validation, or
-/// [`EngineError::ActorFailed`] if an actor thread dies in a way
-/// supervision could not contain. A successfully validated graph always
+/// [`EngineError::ActorFailed`] if an actor dies in a way supervision
+/// could not contain. A successfully validated graph always
 /// terminates: it is acyclic, and EOS markers propagate through every
 /// mailbox.
 pub fn run(graph: ActorGraph, config: &EngineConfig) -> Result<RunReport, EngineError> {
@@ -2394,18 +2326,17 @@ fn run_with(
 }
 
 /// One tenant of a multi-tenant run: a named actor graph that shares the
-/// engine — and, under [`ExecutorKind::Pool`], ONE worker pool — with the
-/// other tenants submitted alongside it in the same [`run_tenants`] call.
+/// engine — and ONE worker pool — with the other tenants submitted
+/// alongside it in the same [`run_tenants`] call.
 pub struct TenantSpec {
     /// Tenant label, used in telemetry exports and the returned
     /// [`TenantRun`]. Not required to be unique, but unique names make
     /// per-tenant exports distinguishable.
     pub name: String,
-    /// Weighted-fair share under the pool executor: the tenant's deficit
+    /// Weighted-fair share of the worker pool: the tenant's deficit
     /// round-robin quantum, in task activations (each activation bounded
     /// to a fixed number of drained batches). Clamped to ≥ 1; tenants
-    /// with equal weights get equal service when backlogged. Ignored by
-    /// the thread-per-actor executor (the OS scheduler arbitrates there).
+    /// with equal weights get equal service when backlogged.
     pub weight: u64,
     /// The tenant's actor graph.
     pub graph: ActorGraph,
@@ -2458,9 +2389,7 @@ pub struct TenantRun {
 /// Executes many actor graphs concurrently on one shared engine and
 /// reports per-tenant metrics.
 ///
-/// Under [`ExecutorKind::ThreadPerActor`] every tenant's actors get
-/// dedicated threads, exactly as in [`run`]. Under [`ExecutorKind::Pool`]
-/// all tenants' worker actors are multiplexed over ONE fixed-size worker
+/// All tenants' worker actors are multiplexed over ONE fixed-size worker
 /// pool: the ready queue is sharded by tenant and served deficit
 /// round-robin by [`TenantSpec::weight`], each activation bounded to a
 /// fixed batch quantum, so a backlogged tenant cannot monopolize the
@@ -2495,11 +2424,22 @@ pub fn run_tenants(
         .collect())
 }
 
-/// An actor's runnable state, built up front independent of which
-/// executor will drive it.
+/// An actor's runnable state, built before anything starts running.
 enum Prepared {
     Source { cfg: SourceConfig, ctx: DeliveryCtx },
     Worker { task: WorkerTask },
+}
+
+/// One tenant's validated graph inside [`run_graphs`], before its mailboxes
+/// and contexts exist: the pool is built from every tenant's ranks first.
+struct TenantGraph {
+    weight: u64,
+    telemetry: Option<TelemetryConfig>,
+    actors: Vec<ActorSpec>,
+    in_degrees: Vec<usize>,
+    /// Unique destinations per actor.
+    targets: Vec<Vec<usize>>,
+    rank: Vec<usize>,
 }
 
 /// One tenant's prepared (not yet running) graph inside [`run_graphs`]:
@@ -2508,28 +2448,70 @@ enum Prepared {
 struct TenantPrep {
     base: usize,
     n: usize,
-    weight: u64,
     telemetry: Option<TelemetryConfig>,
     prepared: Vec<(String, Prepared)>,
     metrics: Vec<Arc<ActorMetrics>>,
     probes: Arc<Vec<Option<DepthProbe>>>,
     hub: Option<Arc<TelemetryHub>>,
     coordinator: Option<Arc<CheckpointCoordinator>>,
-    rank: Vec<usize>,
 }
 
-/// The shared driver behind [`run`], [`run_with_telemetry`], and
-/// [`run_tenants`]: prepares every tenant's graph, dispatches all of them
-/// onto the configured executor at once, and assembles per-tenant reports.
-fn run_graphs(
+/// The unique destinations of every route of `spec`, sorted.
+fn targets_of(spec: &ActorSpec) -> Vec<usize> {
+    let mut d: Vec<usize> = spec
+        .routes
+        .iter()
+        .flat_map(|r| r.destinations_iter())
+        .map(|d| d.0)
+        .collect();
+    d.sort_unstable();
+    d.dedup();
+    d
+}
+
+/// Kahn's algorithm over a validated acyclic graph: every actor gets a
+/// unique topological rank and each edge ends at a strictly higher rank.
+/// Rank-filtered helping relies on this invariant (see
+/// [`PoolShared::rank`]), and single-tenant stage sharding maps rank bands
+/// onto the pinned workers so pipeline neighbours share a cache domain.
+fn topological_rank(targets: &[Vec<usize>], in_degrees: &[usize]) -> Vec<usize> {
+    let n = targets.len();
+    let mut deg = in_degrees.to_vec();
+    let mut order: VecDeque<usize> = (0..n).filter(|&i| deg[i] == 0).collect();
+    let mut rank = vec![0usize; n];
+    let mut next = 0usize;
+    while let Some(u) = order.pop_front() {
+        rank[u] = next;
+        next += 1;
+        for &v in &targets[u] {
+            deg[v] -= 1;
+            if deg[v] == 0 {
+                order.push_back(v);
+            }
+        }
+    }
+    debug_assert_eq!(next, n, "validated graph is acyclic");
+    rank
+}
+
+/// Everything [`run_graphs`] builds before the first thread starts.
+struct PreparedRun {
+    multi: bool,
+    started_at: Instant,
+    workers: usize,
+    shards: usize,
+    pool: Arc<PoolShared>,
+    ledger: Arc<TenantLedger>,
+    preps: Vec<TenantPrep>,
+}
+
+/// Validates every tenant's graph, builds the one worker pool they share
+/// and prepares every actor, without starting any thread.
+fn prepare_run(
     tenants: Vec<TenantSpec>,
     config: &EngineConfig,
-) -> Result<Vec<(RunReport, Option<TelemetryReport>)>, EngineError> {
-    if tenants.is_empty() {
-        return Ok(Vec::new());
-    }
+) -> Result<PreparedRun, EngineError> {
     let multi = tenants.len() > 1;
-    install_panic_silencer();
     // Checkpoint layer: a `Some(0)` interval is treated as off, and each
     // tenant's coordinator ledger (one ack slot per actor, sources
     // included) exists only when the layer is on.
@@ -2541,18 +2523,13 @@ fn run_graphs(
     } else {
         config.reconfig.as_ref()
     };
-    let started_at = Instant::now();
-    // Run-wide slab of coalescing buffers: every reachable destination gets
-    // a buffer checked out pre-sized to the batch limit, and actors hand
-    // them back when they finish — the steady-state send path never grows
-    // (or allocates) a buffer.
-    let buf_pool = Arc::new(BatchPool::new(config.batch_size.max(1)));
 
-    let mut preps: Vec<TenantPrep> = Vec::with_capacity(tenants.len());
-    let mut base = 0usize;
+    // Validate and rank every graph before anything is built, so an
+    // invalid graph fails the whole call with no actor running.
+    let mut graphs: Vec<TenantGraph> = Vec::with_capacity(tenants.len());
     for tenant in tenants {
         let TenantSpec {
-            name: tenant_name,
+            name,
             weight,
             graph,
             mut telemetry,
@@ -2562,13 +2539,83 @@ fn run_graphs(
             // are attributable without extra wiring.
             if let Some(tcfg) = &mut telemetry {
                 if tcfg.tenant.is_none() {
-                    tcfg.tenant = Some(tenant_name.clone());
+                    tcfg.tenant = Some(name.clone());
                 }
             }
         }
         let in_degrees = graph.in_degrees();
         let actors = graph.into_actors();
         validate(&actors)?;
+        let targets: Vec<Vec<usize>> = actors.iter().map(targets_of).collect();
+        let rank = topological_rank(&targets, &in_degrees);
+        graphs.push(TenantGraph {
+            weight,
+            telemetry,
+            actors,
+            in_degrees,
+            targets,
+            rank,
+        });
+    }
+
+    let started_at = Instant::now();
+    let workers = config.resolved_pool_workers().max(1);
+    // Per-tenant completion ledger: actor counts in, per-tenant finish
+    // timestamps out, so a tenant's reported wall is its own
+    // first-to-last-actor span.
+    let tenant_counts: Vec<usize> = graphs.iter().map(|g| g.actors.len()).collect();
+    let total: usize = tenant_counts.iter().sum();
+    let ledger = Arc::new(TenantLedger::new(&tenant_counts, started_at));
+    // ALL tenants' worker actors become tasks of ONE pool. Single-tenant
+    // with pinning on, the ready queue is sharded per worker by rank band:
+    // worker `w` drains its own band's shard first, so a pipeline stage's
+    // producer/consumer pairs run on the core owning their band. Unpinned,
+    // a single shard is the classic FIFO queue. Multi-tenant, shards are
+    // tenants and deficit round-robin (weighted by [`TenantSpec::weight`])
+    // decides service order; each activation is budgeted to
+    // [`TENANT_POLL_BUDGET`] batches so no tenant monopolizes a worker.
+    let mut rank_all = Vec::with_capacity(total);
+    let mut tenant_of = Vec::with_capacity(total);
+    for (t, g) in graphs.iter().enumerate() {
+        rank_all.extend(g.rank.iter().copied());
+        tenant_of.extend(std::iter::repeat_n(t, g.actors.len()));
+    }
+    let (shards, quantum) = if multi {
+        let weights: Vec<u64> = graphs.iter().map(|g| g.weight.max(1)).collect();
+        (graphs.len(), Some(weights))
+    } else if config.pinning.is_enabled() {
+        (workers, None)
+    } else {
+        (1, None)
+    };
+    let pool = Arc::new(PoolShared::new(
+        rank_all,
+        tenant_of,
+        shards,
+        quantum,
+        Arc::clone(&ledger),
+    ));
+    let poll_budget = if multi {
+        TENANT_POLL_BUDGET
+    } else {
+        usize::MAX
+    };
+    // Run-wide slab of coalescing buffers: every reachable destination gets
+    // a buffer checked out pre-sized to the batch limit, and actors hand
+    // them back when they finish — the steady-state send path never grows
+    // (or allocates) a buffer.
+    let buf_pool = Arc::new(BatchPool::new(config.batch_size.max(1)));
+
+    let mut preps: Vec<TenantPrep> = Vec::with_capacity(graphs.len());
+    let mut base = 0usize;
+    for graph in graphs {
+        let TenantGraph {
+            telemetry,
+            actors,
+            in_degrees,
+            targets,
+            ..
+        } = graph;
         let n = actors.len();
 
         let metrics: Vec<Arc<ActorMetrics>> =
@@ -2628,21 +2675,7 @@ fn run_graphs(
         });
 
         let mut prepared: Vec<(String, Prepared)> = Vec::with_capacity(n);
-        // Unique destinations per actor, kept for the pool executor's
-        // topological ranks (see [`PoolShared::rank`]).
-        let mut out_targets: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for (i, spec) in actors.into_iter().enumerate() {
-            let eos_targets: Vec<usize> = {
-                let mut d: Vec<usize> = spec
-                    .routes
-                    .iter()
-                    .flat_map(|r| r.destinations_iter())
-                    .map(|d| d.0)
-                    .collect();
-                d.sort_unstable();
-                d.dedup();
-                d
-            };
+        for ((i, spec), eos_targets) in actors.into_iter().enumerate().zip(targets) {
             // Give this actor exactly the senders it can reach. A sole
             // producer *moves* the sender out of the engine's vec: cloning
             // would permanently upgrade the SPSC mailbox to multi-producer
@@ -2658,7 +2691,6 @@ fn run_graphs(
                     }
                 })
                 .collect();
-            out_targets.push(eos_targets.clone());
             let out_bufs: Vec<Vec<Envelope>> = my_senders
                 .iter()
                 .map(|s| {
@@ -2692,7 +2724,7 @@ fn run_graphs(
                 pending_sink_outs: 0,
                 pending_lat_ns: 0,
                 pending_lat_n: 0,
-                pool: None,
+                pool: Arc::clone(&pool),
                 pool_slot: base + i,
                 span_mask: telemetry.as_ref().and_then(|t| t.span_mask()),
                 checkpoint_interval: ckpt_interval,
@@ -2734,7 +2766,7 @@ fn run_graphs(
                                 reconfig: reconfig_src.map(|h| {
                                     Box::new(ReconfigTaskState::new(Arc::clone(&h.shared)))
                                 }),
-                                poll_budget: usize::MAX,
+                                poll_budget,
                             },
                         },
                     ));
@@ -2745,44 +2777,53 @@ fn run_graphs(
         // in for actors with no upstream.
         drop(senders);
 
-        // Kahn's algorithm over the (validated acyclic) graph assigns every
-        // actor a unique topological rank: each edge ends at a strictly higher
-        // rank. The pool executor's rank-filtered helping relies on this
-        // invariant, and stage sharding (both executors) maps rank bands onto
-        // the configured core list so pipeline neighbours share a cache domain.
-        let rank = {
-            let mut deg = in_degrees.clone();
-            let mut order: VecDeque<usize> = (0..n).filter(|&i| deg[i] == 0).collect();
-            let mut rank = vec![0usize; n];
-            let mut next = 0usize;
-            while let Some(u) = order.pop_front() {
-                rank[u] = next;
-                next += 1;
-                for &v in &out_targets[u] {
-                    deg[v] -= 1;
-                    if deg[v] == 0 {
-                        order.push_back(v);
-                    }
-                }
-            }
-            debug_assert_eq!(next, n, "validated graph is acyclic");
-            rank
-        };
-
         preps.push(TenantPrep {
             base,
             n,
-            weight,
             telemetry,
             prepared,
             metrics,
             probes,
             hub,
             coordinator,
-            rank,
         });
         base += n;
     }
+
+    Ok(PreparedRun {
+        multi,
+        started_at,
+        workers,
+        shards,
+        pool,
+        ledger,
+        preps,
+    })
+}
+
+/// The shared driver behind [`run`], [`run_with_telemetry`], and
+/// [`run_tenants`]: prepares every tenant's graph (see [`prepare_run`]),
+/// runs them all at once on one worker pool, and assembles per-tenant
+/// reports.
+fn run_graphs(
+    tenants: Vec<TenantSpec>,
+    config: &EngineConfig,
+) -> Result<Vec<(RunReport, Option<TelemetryReport>)>, EngineError> {
+    if tenants.is_empty() {
+        return Ok(Vec::new());
+    }
+    install_panic_silencer();
+    let PreparedRun {
+        multi,
+        started_at,
+        workers,
+        shards,
+        pool,
+        ledger,
+        mut preps,
+    } = prepare_run(tenants, config)?;
+    let pinning = &config.pinning;
+    let tenant_counts: Vec<usize> = preps.iter().map(|p| p.n).collect();
 
     // Background samplers, one per telemetry-enabled tenant: each wakes
     // every `interval` and snapshots its tenant's counters and queue
@@ -2829,14 +2870,6 @@ fn run_graphs(
         })
         .collect();
 
-    let cores = config.pinning.cores.clone();
-
-    // Per-tenant completion ledger: actor counts in, per-tenant finish
-    // timestamps out. Both executors report through it, so a tenant's
-    // reported wall is its own first-to-last-actor span.
-    let tenant_counts: Vec<usize> = preps.iter().map(|p| p.n).collect();
-    let total: usize = tenant_counts.iter().sum();
-    let ledger = Arc::new(TenantLedger::new(&tenant_counts, started_at));
     let mut names: Vec<Vec<String>> = tenant_counts
         .iter()
         .map(|&n| vec![String::new(); n])
@@ -2848,20 +2881,21 @@ fn run_graphs(
         .iter()
         .map(|&n| Vec::with_capacity(n))
         .collect();
-    match config.resolved_pool_workers() {
-        None => {
-            // Thread-per-actor: spawn, then join every thread before
-            // returning — even after a failure — so no actor outlives
-            // the run. With pinning on, a tenant's actor `i` goes to the
-            // core owning its contiguous rank band within that tenant:
-            // `cores[rank[i] * len / n]`.
-            let mut handles = Vec::with_capacity(total);
-            for (t, prep) in preps.iter_mut().enumerate() {
-                let n = prep.n;
-                let prepared = std::mem::take(&mut prep.prepared);
-                for (i, (name, pa)) in prepared.into_iter().enumerate() {
-                    let pin_to = (!cores.is_empty()).then(|| cores[prep.rank[i] * cores.len() / n]);
-                    let slot = prep.base + i;
+    // Sources run on dedicated threads (they pace wall-clock emission
+    // schedules); a blocked source send helps run ready consumers inline
+    // instead of parking. Worker actors become [`PoolShared`] tasks.
+    let mut source_handles = Vec::new();
+    let mut task_ids = Vec::new();
+    let mut num_sources = 0usize;
+    for (t, prep) in preps.iter_mut().enumerate() {
+        let prepared = std::mem::take(&mut prep.prepared);
+        for (i, (name, pa)) in prepared.into_iter().enumerate() {
+            let slot = prep.base + i;
+            names[t][i] = name.clone();
+            match pa {
+                Prepared::Source { cfg, ctx } => {
+                    let pin_to = pinning.source_core(workers, num_sources);
+                    num_sources += 1;
                     let ledger = Arc::clone(&ledger);
                     let handle = thread::Builder::new()
                         .name(format!("ss-{slot}-{name}"))
@@ -2869,177 +2903,74 @@ fn run_graphs(
                             if let Some(core) = pin_to {
                                 pin_current_thread(core);
                             }
-                            let log = match pa {
-                                Prepared::Source { cfg, ctx } => run_source(cfg, ctx),
-                                Prepared::Worker { task } => run_worker(task),
-                            };
+                            let log = run_source(cfg, ctx);
                             ledger.actor_done(t);
                             log
                         })
-                        .expect("spawn actor thread");
-                    handles.push((t, i, name, handle));
+                        .expect("spawn source thread");
+                    source_handles.push((t, i, handle));
+                }
+                Prepared::Worker { task } => {
+                    PoolShared::install(&pool, slot, task);
+                    task_ids.push(slot);
                 }
             }
-            for (t, i, name, handle) in handles {
-                match handle.join() {
-                    Ok(log) => tenant_logs[t].push((i, log)),
-                    Err(payload) => {
-                        failures.push((preps[t].base + i, panic_message(payload.as_ref())))
-                    }
-                }
-                names[t][i] = name;
-            }
-        }
-        Some(workers) => {
-            // Pool executor: sources keep dedicated threads (they pace
-            // wall-clock emission schedules) but carry the pool handle so a
-            // blocked send helps run ready consumers inline instead of
-            // parking; ALL tenants' worker actors become [`PoolShared`]
-            // tasks multiplexed over the one fixed set of worker threads.
-            //
-            // Single-tenant with pinning on, the ready queue is sharded
-            // per worker by rank band: worker `w` is pinned to
-            // `cores[w % len]` and drains its own band's shard first, so a
-            // pipeline stage's producer/consumer pairs run on the core
-            // owning their band. Unpinned, a single shard reproduces the
-            // classic FIFO queue. Multi-tenant, shards are tenants and
-            // deficit round-robin (weighted by [`TenantSpec::weight`])
-            // decides service order; each activation is budgeted to
-            // [`TENANT_POLL_BUDGET`] batches so no tenant monopolizes a
-            // worker.
-            let mut rank_all = Vec::with_capacity(total);
-            let mut tenant_of = Vec::with_capacity(total);
-            for (t, prep) in preps.iter().enumerate() {
-                rank_all.extend(prep.rank.iter().copied());
-                tenant_of.extend(std::iter::repeat_n(t, prep.n));
-            }
-            let (shards, quantum) = if multi {
-                let weights: Vec<u64> = preps.iter().map(|p| p.weight.max(1)).collect();
-                (preps.len(), Some(weights))
-            } else if cores.is_empty() {
-                (1, None)
-            } else {
-                (workers.max(1), None)
-            };
-            let pool = Arc::new(PoolShared::new(
-                rank_all,
-                tenant_of,
-                shards,
-                quantum,
-                Arc::clone(&ledger),
-            ));
-            let poll_budget = if multi {
-                TENANT_POLL_BUDGET
-            } else {
-                usize::MAX
-            };
-            let mut source_handles = Vec::new();
-            let mut task_ids = Vec::new();
-            let mut num_sources = 0usize;
-            for (t, prep) in preps.iter_mut().enumerate() {
-                let prepared = std::mem::take(&mut prep.prepared);
-                for (i, (name, pa)) in prepared.into_iter().enumerate() {
-                    let slot = prep.base + i;
-                    names[t][i] = name.clone();
-                    match pa {
-                        Prepared::Source { cfg, mut ctx } => {
-                            ctx.pool = Some(Arc::clone(&pool));
-                            // Sources are pinned round-robin: they sleep on
-                            // their pace schedules, so spreading them evenly
-                            // matters more than band placement.
-                            let pin_to =
-                                (!cores.is_empty()).then(|| cores[num_sources % cores.len()]);
-                            num_sources += 1;
-                            let ledger = Arc::clone(&ledger);
-                            let handle = thread::Builder::new()
-                                .name(format!("ss-{slot}-{name}"))
-                                .spawn(move || {
-                                    if let Some(core) = pin_to {
-                                        pin_current_thread(core);
-                                    }
-                                    let log = run_source(cfg, ctx);
-                                    ledger.actor_done(t);
-                                    log
-                                })
-                                .expect("spawn source thread");
-                            source_handles.push((t, i, handle));
-                        }
-                        Prepared::Worker { mut task } => {
-                            task.ctx.pool = Some(Arc::clone(&pool));
-                            task.poll_budget = poll_budget;
-                            // The mailbox wakes the pool on every push burst
-                            // and on final-sender drop, so this consumer gets
-                            // scheduled even while its producers are blocked
-                            // mid-`send_batch`.
-                            let hook_pool = Arc::clone(&pool);
-                            task.rx
-                                .set_wake_hook(Arc::new(move || hook_pool.wake(slot)));
-                            task.ctx.trace_event(TraceEventKind::ActorStarted);
-                            *pool.tasks[slot]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner) = Some(task);
-                            task_ids.push(slot);
-                        }
-                    }
-                }
-            }
-            pool.live.store(task_ids.len(), Ordering::Release);
-            // Initial sweep: every task polls at least once, covering
-            // zero-upstream actors and envelopes pushed by sources before
-            // the wake hooks above were installed.
-            for &slot in &task_ids {
-                pool.wake(slot);
-            }
-            let mut pool_handles = Vec::with_capacity(workers.max(1));
-            for w in 0..workers.max(1) {
-                let pool = Arc::clone(&pool);
-                let pin_to = (!cores.is_empty()).then(|| cores[w % cores.len()]);
-                let home = w % shards;
-                pool_handles.push(
-                    thread::Builder::new()
-                        .name(format!("ss-pool-{w}"))
-                        .spawn(move || {
-                            if let Some(core) = pin_to {
-                                pin_current_thread(core);
-                            }
-                            worker_loop(&pool, home)
-                        })
-                        .expect("spawn pool worker thread"),
-                );
-            }
-            for (t, i, handle) in source_handles {
-                match handle.join() {
-                    Ok(log) => tenant_logs[t].push((i, log)),
-                    Err(payload) => {
-                        failures.push((preps[t].base + i, panic_message(payload.as_ref())))
-                    }
-                }
-            }
-            for handle in pool_handles {
-                let _ = handle.join();
-            }
-            let tenant_of_slot = |slot: usize| {
-                preps
-                    .iter()
-                    .rposition(|p| p.base <= slot)
-                    .expect("slot belongs to a tenant")
-            };
-            for (slot, log) in std::mem::take(
-                &mut *pool
-                    .collected
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner),
-            ) {
-                let t = tenant_of_slot(slot);
-                tenant_logs[t].push((slot - preps[t].base, log));
-            }
-            failures.extend(std::mem::take(
-                &mut *pool.failures.lock().unwrap_or_else(PoisonError::into_inner),
-            ));
         }
     }
-    // Match thread-per-actor reporting: the failure with the lowest
-    // global slot wins, reported under its tenant-local actor id.
+    pool.live.store(task_ids.len(), Ordering::Release);
+    // Initial sweep: every task polls at least once, covering zero-upstream
+    // actors and envelopes pushed by sources before the wake hooks above
+    // were installed.
+    for &slot in &task_ids {
+        pool.wake(slot);
+    }
+    let pool_handles: Vec<_> = (0..workers)
+        .map(|w| {
+            let pool = Arc::clone(&pool);
+            let pin_to = pinning.worker_core(w);
+            let home = w % shards;
+            thread::Builder::new()
+                .name(format!("ss-pool-{w}"))
+                .spawn(move || {
+                    if let Some(core) = pin_to {
+                        pin_current_thread(core);
+                    }
+                    worker_loop(&pool, home)
+                })
+                .expect("spawn pool worker thread")
+        })
+        .collect();
+    // Join every thread before returning — even after a failure — so no
+    // actor outlives the run.
+    for (t, i, handle) in source_handles {
+        match handle.join() {
+            Ok(log) => tenant_logs[t].push((i, log)),
+            Err(payload) => failures.push((preps[t].base + i, panic_message(payload.as_ref()))),
+        }
+    }
+    for handle in pool_handles {
+        let _ = handle.join();
+    }
+    let tenant_of_slot = |slot: usize| {
+        preps
+            .iter()
+            .rposition(|p| p.base <= slot)
+            .expect("slot belongs to a tenant")
+    };
+    for (slot, log) in std::mem::take(
+        &mut *pool
+            .collected
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner),
+    ) {
+        let t = tenant_of_slot(slot);
+        tenant_logs[t].push((slot - preps[t].base, log));
+    }
+    failures.extend(std::mem::take(
+        &mut *pool.failures.lock().unwrap_or_else(PoisonError::into_inner),
+    ));
+    // The failure with the lowest global slot wins, reported under its
+    // tenant-local actor id.
     failures.sort_by_key(|(slot, _)| *slot);
     let failure = failures.into_iter().next().map(|(slot, reason)| {
         let t = preps
@@ -3168,14 +3099,13 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pipeline_delivers_all_items_on_both_executors() {
+    fn pinned_pipeline_delivers_all_items_at_one_and_two_workers() {
         // Pinning must never change results — on this machine the cores
         // may not even exist, in which case it degrades to a warn-once
-        // no-op and the run proceeds unpinned.
-        for executor in [
-            ExecutorKind::ThreadPerActor,
-            ExecutorKind::Pool { workers: 2 },
-        ] {
+        // no-op and the run proceeds unpinned. One worker leaves core 1 to
+        // the source; two workers share the list with it.
+        for workers in [1, 2] {
+            let executor = ExecutorKind::Pool { workers };
             let mut g = ActorGraph::new();
             let s = g.add_actor(
                 "src",
@@ -3403,30 +3333,116 @@ mod tests {
 
     #[test]
     fn send_timeout_drops_items_when_consumer_stalls() {
-        // A consumer much slower than the timeout: with a tiny timeout the
-        // source drops items instead of waiting (load-shedding mode).
+        // BAS load shedding: a consumer stalled far past the 1 ms send
+        // timeout makes the source drop items instead of waiting. The
+        // consumer holds every tuple on a latch that opens once telemetry
+        // shows the source's first drop, but never longer than `HOLD` per
+        // tuple. Held on the pool worker, the source's bounded waits time
+        // out; run inline by the source's own helping, the hold counts
+        // toward the source's deadline (checked after every help). Either
+        // way a drop does not depend on how the threads interleave.
+        const HOLD: Duration = Duration::from_millis(20);
+        type Latch = Arc<(Mutex<bool>, Condvar)>;
+        struct Latched(Latch);
+        impl crate::StreamOperator for Latched {
+            fn process(&mut self, item: Tuple, out: &mut Outputs) {
+                let (open, cv) = &*self.0;
+                let guard = open.lock().unwrap();
+                let _ = cv.wait_timeout_while(guard, HOLD, |open| !*open).unwrap();
+                out.emit_default(item);
+            }
+        }
+        let latch: Latch = Arc::new((Mutex::new(false), Condvar::new()));
         let mut g = ActorGraph::new();
         let s = g.add_actor(
             "src",
             Behavior::Source(SourceConfig::new(f64::INFINITY, 64)),
         );
-        let w = g.add_actor("slow", Behavior::worker(Spin::new("slow", 3_000_000)));
+        let w = g.add_actor(
+            "stalled",
+            Behavior::Worker(Box::new(Latched(Arc::clone(&latch)))),
+        );
         g.connect(s, Route::Unicast(w));
-        g.set_mailbox_capacity(w, 4);
+        g.set_mailbox_capacity(w, 2);
         let cfg = EngineConfig {
             send_timeout: Duration::from_millis(1),
-            ..fast_cfg()
+            ..pool_cfg(1)
         };
-        let r = run(g, &cfg).unwrap();
-        assert!(r.actor(s).dropped > 0, "expected drops under 1 ms timeout");
-        assert!(r.actor(w).items_in < 64);
+        let opener = Arc::clone(&latch);
+        let tcfg = TelemetryConfig {
+            interval: Duration::from_millis(1),
+            on_snapshot: Some(Arc::new(move |snap: &crate::TelemetrySnapshot| {
+                if snap.actors[0].dropped > 0 {
+                    *opener.0.lock().unwrap() = true;
+                    opener.1.notify_all();
+                }
+            })),
+            ..TelemetryConfig::default()
+        };
+        let (r, _) = run_with_telemetry(g, &cfg, &tcfg).unwrap();
+        let dropped = r.actor(s).dropped;
+        assert!(dropped > 0, "expected drops under a 1 ms timeout");
+        assert_eq!(r.actor(w).items_in + dropped, 64, "conservation");
         // Every drop is structurally accounted as a dead letter.
-        assert_eq!(r.total_dead_letters(), r.actor(s).dropped);
-        assert_eq!(r.dead_letters.total(), r.actor(s).dropped);
+        assert_eq!(r.total_dead_letters(), dropped);
+        assert_eq!(r.dead_letters.total(), dropped);
+        assert_eq!(r.actor(s).dead_letters, dropped);
+        assert_eq!(
+            r.dead_letters.by_reason(DeadLetterReason::SendTimeout),
+            dropped
+        );
         let first = &r.dead_letters.entries()[0];
         assert_eq!(first.source, s);
         assert_eq!(first.destination, Some(w));
-        assert_eq!(first.reason, DeadLetterReason::SendTimeout);
+    }
+
+    #[test]
+    fn helping_time_is_charged_as_helping_not_blocked() {
+        // No pool worker thread is started: a send into the consumer's
+        // full one-slot mailbox can only complete by helping, i.e. by
+        // running the consumer inline. The consumer's busy time is then
+        // part of the source's helping time and none of its blocked time.
+        const WORK_NS: u64 = 2_000_000;
+        let mut g = ActorGraph::new();
+        let s = g.add_actor("src", Behavior::Source(SourceConfig::new(1.0, 0)));
+        let w = g.add_actor("work", Behavior::worker(Spin::new("work", WORK_NS)));
+        g.connect(s, Route::Unicast(w));
+        g.set_mailbox_capacity(w, 1);
+        let run = prepare_run(vec![TenantSpec::new("t", g)], &fast_cfg()).unwrap();
+        let mut prepared = run.preps.into_iter().next().unwrap().prepared.into_iter();
+        let Some((_, Prepared::Source { mut ctx, .. })) = prepared.next() else {
+            panic!("actor 0 is the source");
+        };
+        let Some((_, Prepared::Worker { task })) = prepared.next() else {
+            panic!("actor 1 is the worker");
+        };
+        let work = Arc::clone(&task.ctx.metrics);
+        PoolShared::install(&run.pool, w.0, task);
+        let t0 = Instant::now();
+        // The first tuple fits the empty mailbox; each later one waits for
+        // one inline run of the consumer.
+        for seq in 0..5 {
+            ctx.deliver_one(0, Tuple::splat(0, seq, 1.0));
+        }
+        let wall = t0.elapsed();
+        let src = ctx.metrics.snapshot("src", s);
+        let work = work.snapshot("work", w);
+        run.pool.tasks[w.0].lock().unwrap().take();
+        assert_eq!(src.items_out, 5);
+        assert_eq!(work.items_in, 4);
+        assert!(work.busy >= Duration::from_nanos(4 * WORK_NS), "{work:?}");
+        assert!(
+            src.helping >= work.busy,
+            "helping {:?} < consumer busy {:?}",
+            src.helping,
+            work.busy
+        );
+        assert!(
+            src.blocked + src.helping <= wall,
+            "blocked {:?} + helping {:?} exceed the {wall:?} spent sending",
+            src.blocked,
+            src.helping
+        );
     }
 
     #[test]
@@ -3879,14 +3895,17 @@ mod tests {
 
     #[test]
     fn pool_workers_resolution() {
-        assert_eq!(ExecutorKind::ThreadPerActor.pool_workers(), None);
-        assert_eq!(ExecutorKind::Pool { workers: 3 }.pool_workers(), Some(3));
-        let auto = ExecutorKind::Pool { workers: 0 }.pool_workers().unwrap();
+        assert_eq!(
+            EngineConfig::default().executor,
+            ExecutorKind::Pool { workers: 0 }
+        );
+        assert_eq!(ExecutorKind::Pool { workers: 3 }.pool_workers(), 3);
+        let auto = ExecutorKind::default().pool_workers();
         assert!(auto >= 1, "auto-resolved worker count must be positive");
     }
 
     #[test]
-    fn pool_executor_delivers_all_items_on_pipeline() {
+    fn pipeline_delivers_all_items_at_every_worker_count() {
         for workers in [1, 2, 4] {
             let mut g = ActorGraph::new();
             let s = g.add_actor(
@@ -3905,7 +3924,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_executor_handles_fan_in_with_fewer_workers_than_actors() {
+    fn fan_in_runs_on_fewer_workers_than_actors() {
         // Two sources fan into one merge (multi-producer mailbox), then a
         // sink: 4 actors on a single pool worker must still drain
         // everything via cooperative scheduling.
@@ -3930,10 +3949,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_executor_backpressure_with_tiny_mailboxes() {
+    fn backpressure_with_tiny_mailboxes_on_one_worker() {
         // Capacity-2 mailboxes on a 3-stage pipeline under one worker:
         // every hop blocks constantly, exercising the help-don't-park
-        // path in `pool_send_batch` end to end.
+        // send path end to end.
         let mut g = ActorGraph::new();
         let s = g.add_actor(
             "src",
@@ -3954,66 +3973,8 @@ mod tests {
     }
 
     #[test]
-    fn pool_send_timeout_drops_items_when_consumer_stalls() {
-        // The pool analogue of `send_timeout_drops_items_when_consumer_stalls`:
-        // BAS load shedding and dead-letter accounting must survive the
-        // executor swap.
-        let mut g = ActorGraph::new();
-        let s = g.add_actor(
-            "src",
-            Behavior::Source(SourceConfig::new(f64::INFINITY, 64)),
-        );
-        let w = g.add_actor("slow", Behavior::worker(Spin::new("slow", 3_000_000)));
-        g.connect(s, Route::Unicast(w));
-        g.set_mailbox_capacity(w, 2);
-        let cfg = EngineConfig {
-            send_timeout: Duration::from_millis(1),
-            ..pool_cfg(1)
-        };
-        let r = run(g, &cfg).unwrap();
-        let dropped = r.actor(s).dropped;
-        assert!(dropped > 0, "expected send-timeout drops");
-        assert_eq!(r.dead_letters.total(), dropped);
-        assert_eq!(r.actor(s).dead_letters, dropped);
-        assert_eq!(r.actor(w).items_in + dropped, 64, "conservation");
-    }
-
-    #[test]
-    fn pool_uncontainable_failure_reports_actor_failed() {
-        use crate::supervision::{Backoff, SupervisorSpec};
-        // A panicking `reset` escapes `guarded_call` in the pool executor
-        // too; the failure must surface as ActorFailed while every other
-        // actor still shuts down cleanly (no hang).
-        struct BrokenReset;
-        impl crate::StreamOperator for BrokenReset {
-            fn process(&mut self, _item: Tuple, _out: &mut Outputs) {
-                panic!("process");
-            }
-            fn reset(&mut self) {
-                panic!("reset is broken too");
-            }
-        }
-        let mut g = ActorGraph::new();
-        let s = g.add_actor(
-            "src",
-            Behavior::Source(SourceConfig::new(f64::INFINITY, 10)),
-        );
-        let w = g.add_actor("broken", Behavior::Worker(Box::new(BrokenReset)));
-        g.connect(s, Route::Unicast(w));
-        g.set_supervision(w, SupervisorSpec::restart(10, Backoff::none()));
-        let err = run(g, &pool_cfg(2)).unwrap_err();
-        match err {
-            EngineError::ActorFailed { actor, reason } => {
-                assert_eq!(actor, w);
-                assert!(reason.contains("reset is broken"), "reason: {reason}");
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pool_executor_batched_runs_match_threaded_counts() {
-        // Same seeded graph under both executors at batch 64: per-actor
+    fn batched_runs_match_across_worker_counts() {
+        // Same seeded graph on one and two workers at batch 64: per-actor
         // item counts are a pure function of the routing RNG and must be
         // identical.
         let build = || {
@@ -4030,82 +3991,21 @@ mod tests {
             g.connect(r1, Route::Unicast(k));
             g
         };
-        let batched = |executor| EngineConfig {
+        let batched = |workers| EngineConfig {
             batch_size: 64,
-            executor,
-            ..fast_cfg()
+            ..pool_cfg(workers)
         };
-        let threads = run(build(), &batched(ExecutorKind::ThreadPerActor)).unwrap();
-        let pool = run(build(), &batched(ExecutorKind::Pool { workers: 2 })).unwrap();
+        let one = run(build(), &batched(1)).unwrap();
+        let two = run(build(), &batched(2)).unwrap();
         let counts = |r: &RunReport| {
             r.actors
                 .iter()
                 .map(|a| (a.items_in, a.items_out))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(counts(&threads), counts(&pool));
-        assert_eq!(threads.total_dropped(), 0);
-        assert_eq!(pool.total_dropped(), 0);
-    }
-
-    #[test]
-    fn pool_restart_budget_exhaustion_stops_the_actor() {
-        use crate::supervision::{Backoff, SupervisorSpec};
-        // The pool analogue of `restart_budget_exhaustion_stops_the_actor`:
-        // budget accounting and stopped-actor drops must survive the
-        // executor swap.
-        struct AlwaysPanics;
-        impl crate::StreamOperator for AlwaysPanics {
-            fn process(&mut self, _item: Tuple, _out: &mut Outputs) {
-                panic!("always");
-            }
-        }
-        let mut g = ActorGraph::new();
-        let s = g.add_actor(
-            "src",
-            Behavior::Source(SourceConfig::new(f64::INFINITY, 50)),
-        );
-        let w = g.add_actor("doomed", Behavior::Worker(Box::new(AlwaysPanics)));
-        let k = g.add_actor("sink", Behavior::worker(PassThrough));
-        g.connect(s, Route::Unicast(w));
-        g.connect(w, Route::Unicast(k));
-        g.set_supervision(w, SupervisorSpec::restart(2, Backoff::none()));
-        let r = run(g, &pool_cfg(2)).unwrap();
-        assert_eq!(r.actor(w).panics, 3);
-        assert_eq!(r.actor(w).restarts, 2);
-        assert_eq!(r.actor(k).items_in, 0);
-        assert_eq!(r.dead_letters.total(), 50);
-        assert_eq!(r.dead_letters.by_reason(DeadLetterReason::OperatorPanic), 3);
-        assert_eq!(r.dead_letters.by_reason(DeadLetterReason::StoppedActor), 47);
-    }
-
-    #[test]
-    fn pool_stopped_actor_degrades_to_forward_or_drop() {
-        use crate::supervision::{DegradePolicy, SupervisorSpec};
-        // Degraded-mode routing under the pool executor: Forward turns the
-        // stopped actor into an identity, Drop dead-letters everything.
-        for (policy, sink_in, dead) in [
-            (DegradePolicy::Forward, 39, 1),
-            (DegradePolicy::Drop, 0, 40),
-        ] {
-            let mut g = ActorGraph::new();
-            let s = g.add_actor(
-                "src",
-                Behavior::Source(SourceConfig::new(f64::INFINITY, 40)),
-            );
-            let w = g.add_actor(
-                "flaky",
-                Behavior::Worker(Box::new(PanicEvery { every: 64 })),
-            );
-            let k = g.add_actor("sink", Behavior::worker(PassThrough));
-            g.connect(s, Route::Unicast(w));
-            g.connect(w, Route::Unicast(k));
-            g.set_supervision(w, SupervisorSpec::default().with_degrade(policy));
-            let r = run(g, &pool_cfg(2)).unwrap();
-            assert_eq!(r.actor(w).panics, 1, "{policy:?}");
-            assert_eq!(r.actor(k).items_in, sink_in, "{policy:?}");
-            assert_eq!(r.dead_letters.total(), dead, "{policy:?}");
-        }
+        assert_eq!(counts(&one), counts(&two));
+        assert_eq!(one.total_dropped(), 0);
+        assert_eq!(two.total_dropped(), 0);
     }
 
     /// Emits every 10th input it has ever seen — a minimal stateful
@@ -4236,7 +4136,7 @@ mod tests {
         // poisoned tuple live. The stateful counter never loses a beat:
         // the sink sees exactly 500 / 10 = 50 emissions and no item is
         // dead-lettered — the same totals as an unfaulted run.
-        for (label, cfg) in [("threads", fast_cfg()), ("pool-2", pool_cfg(2))] {
+        for (label, cfg) in [("pool-1", pool_cfg(1)), ("pool-2", pool_cfg(2))] {
             let cfg = EngineConfig {
                 checkpoint_interval: Some(100),
                 ..cfg
@@ -4379,16 +4279,12 @@ mod tests {
     }
 
     #[test]
-    fn tenants_match_solo_counts_on_both_executors() {
+    fn tenants_match_solo_counts_at_one_and_two_workers() {
         let items = [300u64, 450, 600];
-        for executor in [
-            ExecutorKind::ThreadPerActor,
-            ExecutorKind::Pool { workers: 2 },
-        ] {
+        for workers in [1, 2] {
             let cfg = EngineConfig {
-                executor,
                 batch_size: 8,
-                ..fast_cfg()
+                ..pool_cfg(workers)
             };
             let solo: Vec<u64> = items
                 .iter()
@@ -4411,9 +4307,13 @@ mod tests {
                 assert_eq!(
                     run.report.actor(ActorId(2)).items_in,
                     solo[t],
-                    "{executor:?} tenant {t}"
+                    "{workers} workers, tenant {t}"
                 );
-                assert_eq!(run.report.total_dropped(), 0, "{executor:?} tenant {t}");
+                assert_eq!(
+                    run.report.total_dropped(),
+                    0,
+                    "{workers} workers, tenant {t}"
+                );
             }
         }
     }
@@ -4502,7 +4402,7 @@ mod tests {
             pinning: crate::affinity::PinningConfig::on_cores(vec![0, 0, 0]),
             ..fast_cfg()
         };
-        assert_eq!(cfg.resolved_pool_workers(), Some(3));
+        assert_eq!(cfg.resolved_pool_workers(), 3);
         // Unpinned 0 falls back to machine parallelism.
         cfg.pinning = crate::affinity::PinningConfig::default();
         assert_eq!(
@@ -4512,10 +4412,7 @@ mod tests {
         // Explicit counts are never overridden by pinning.
         cfg.executor = ExecutorKind::Pool { workers: 5 };
         cfg.pinning = crate::affinity::PinningConfig::on_cores(vec![0, 1]);
-        assert_eq!(cfg.resolved_pool_workers(), Some(5));
-        // Thread-per-actor has no pool.
-        cfg.executor = ExecutorKind::ThreadPerActor;
-        assert_eq!(cfg.resolved_pool_workers(), None);
+        assert_eq!(cfg.resolved_pool_workers(), 5);
     }
 
     #[test]

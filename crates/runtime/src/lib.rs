@@ -7,11 +7,13 @@
 //! models assume:
 //!
 //! * **Actors with bounded blocking mailboxes.** Each operator (or operator
-//!   replica) is executed by a dedicated thread draining a bounded FIFO
-//!   [`mailbox`](channel). A send into a full mailbox blocks the sender —
-//!   *Blocking After Service* (BAS, §3) — with a configurable timeout after
-//!   which the item is dropped, mirroring Akka's `BoundedMailbox` setup of
-//!   §5.1.
+//!   replica) is an actor draining a bounded FIFO [`mailbox`](channel),
+//!   scheduled on a worker pool (one worker per core by default). A send
+//!   into a full mailbox blocks the sender — *Blocking After Service*
+//!   (BAS, §3) — with a configurable timeout after which the item is
+//!   dropped, mirroring Akka's `BoundedMailbox` setup of §5.1. The paper's
+//!   one-dedicated-thread-per-actor configuration is reproduced by the
+//!   virtual-time simulator ([`simulate`]).
 //! * **Operators decoupled from actors** (the SS2Akka layer, §4.2). User
 //!   logic implements [`StreamOperator`]; the runtime decides whether it
 //!   runs as a plain actor, as `n` replicas behind *emitter*/*collector*
@@ -44,7 +46,7 @@
 //!
 //! Worker actors are *supervised*, Akka-style. The threaded engine wraps
 //! every operator invocation in `catch_unwind`; a panicking operator never
-//! takes its actor thread — let alone the process — down. The actor's
+//! takes its worker thread — let alone the process — down. The actor's
 //! [`SupervisorSpec`] decides what happens next:
 //!
 //! * [`SupervisionPolicy::Resume`] — drop the poisoned item, keep state;
@@ -122,7 +124,7 @@ pub use fused::{FusedChain, Kernel};
 pub use graph::{ActorGraph, ActorId, Behavior, SourceConfig};
 pub use mailbox::{
     channel, channel_spsc, BatchFailure, BatchOutcome, BatchPool, Envelope, Receiver, RecvBatch,
-    RecvResult, SendOutcome, Sender, TryBatch, TryRecvBatch, TrySend,
+    SendOutcome, Sender, TryBatch, TryRecvBatch, TrySend,
 };
 pub use meta::{MetaDest, MetaOperator, MetaRoute};
 pub use metrics::{ActorReport, RunReport};

@@ -95,14 +95,6 @@ impl SendOutcome {
     pub fn delivered(self) -> bool {
         matches!(self, SendOutcome::Sent | SendOutcome::SentAfterBlocking(_))
     }
-
-    /// Time spent blocked on backpressure, if any.
-    pub fn blocked_for(self) -> Duration {
-        match self {
-            SendOutcome::SentAfterBlocking(d) => d,
-            _ => Duration::ZERO,
-        }
-    }
 }
 
 /// Outcome of a non-blocking [`Sender::try_send`] attempt.
@@ -166,15 +158,6 @@ pub struct TryBatch {
     /// True if the receiver is gone; the remaining envelopes can never be
     /// delivered.
     pub disconnected: bool,
-}
-
-/// Outcome of a blocking receive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecvResult {
-    /// An envelope was dequeued.
-    Envelope(Envelope),
-    /// All senders are gone and the mailbox is drained.
-    Disconnected,
 }
 
 /// Outcome of a [`Receiver::recv_drain`] call.
@@ -847,8 +830,8 @@ impl Sender {
 
     /// Charges `ns` nanoseconds of producer backpressure stall to this
     /// mailbox (the receiver-edge side of the sender's `blocked_ns`). The
-    /// engine's flush path calls this once per blocked batch, so both the
-    /// thread-per-actor and the pool send paths account identically.
+    /// engine's flush path calls this once per blocked batch with the same
+    /// figure it adds to the sender's `blocked_ns`.
     pub(crate) fn add_stall_ns(&self, ns: u64) {
         // Relaxed: a monotonic statistics counter, read only by the
         // sampler; no ordering with the data path is needed.
@@ -921,46 +904,20 @@ impl Receiver {
     /// Installs a wake callback invoked whenever a parked consumer would be
     /// woken: after data is pushed and when the last sender drops.
     ///
-    /// The pool executor uses this to mark the owning actor task ready
-    /// instead of keeping a thread parked in [`Receiver::recv`]; the hook
-    /// must be cheap and must not touch the mailbox. Only the first call
+    /// The worker pool uses this to mark the owning actor task ready
+    /// instead of keeping a thread parked in [`Receiver::recv_drain`]; the
+    /// hook must be cheap and must not touch the mailbox. Only the first call
     /// installs a hook; later calls are ignored.
     pub fn set_wake_hook(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         let _ = self.inner.wake_hook.set(hook);
     }
 
-    /// Blocks until an envelope is available or every sender is gone.
-    pub fn recv(&self) -> RecvResult {
-        let mut backoff = Backoff::new();
-        loop {
-            if let Some(env) = self.inner.try_pop() {
-                self.inner.wake_producers();
-                return RecvResult::Envelope(env);
-            }
-            // Acquire pairs with the Release decrement in `Drop for
-            // Sender`: reading zero makes every final push visible, so the
-            // drain below cannot miss data.
-            if self.inner.senders.load(Ordering::Acquire) == 0 {
-                if let Some(env) = self.inner.try_pop() {
-                    self.inner.wake_producers();
-                    return RecvResult::Envelope(env);
-                }
-                return RecvResult::Disconnected;
-            }
-            if !backoff.try_wait() {
-                self.inner.park_consumer(MAX_PARK);
-            }
-        }
-    }
-
-    /// Blocks like [`Receiver::recv`], then drains up to `max` envelopes
-    /// into `buf`.
+    /// Blocks until an envelope is available or every sender is gone, then
+    /// drains up to `max` envelopes into `buf`.
     ///
     /// Returns [`RecvBatch::Received`] with the number of envelopes
     /// appended (always ≥ 1), or [`RecvBatch::Disconnected`] once every
-    /// sender is gone and the queue is drained. With `max == 1` this
-    /// performs the same ring operations in the same order as
-    /// [`Receiver::recv`].
+    /// sender is gone and the queue is drained.
     ///
     /// # Panics
     ///
@@ -975,7 +932,8 @@ impl Receiver {
                 return RecvBatch::Received(n);
             }
             // Acquire pairs with the Release decrement in `Drop for
-            // Sender` (see `recv`).
+            // Sender`: reading zero makes every final push visible, so the
+            // drain below cannot miss data.
             if self.inner.senders.load(Ordering::Acquire) == 0 {
                 let n = self.inner.pop_burst(buf, max);
                 if n > 0 {
@@ -1004,7 +962,7 @@ impl Receiver {
             return TryRecvBatch::Received(n);
         }
         // Acquire pairs with the Release decrement in `Drop for Sender`
-        // (see `recv`).
+        // (see `recv_drain`).
         if self.inner.senders.load(Ordering::Acquire) == 0 {
             let n = self.inner.pop_burst(buf, max);
             if n > 0 {
@@ -1112,6 +1070,15 @@ mod tests {
 
     const LONG: Duration = Duration::from_secs(5);
 
+    /// Blocking single-envelope receive: `None` once disconnected.
+    fn recv(rx: &Receiver) -> Option<Envelope> {
+        let mut buf = Vec::with_capacity(1);
+        match rx.recv_drain(&mut buf, 1) {
+            RecvBatch::Received(_) => buf.pop(),
+            RecvBatch::Disconnected => None,
+        }
+    }
+
     #[test]
     fn batch_pool_recycles_buffers() {
         let pool = BatchPool::new(8);
@@ -1138,8 +1105,8 @@ mod tests {
             assert_eq!(tx.send(item(i), LONG), SendOutcome::Sent);
         }
         for i in 0..5 {
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, i),
+            match recv(&rx) {
+                Some(Envelope::Data(t)) => assert_eq!(t.seq, i),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1153,7 +1120,7 @@ mod tests {
         let handle = thread::spawn(move || tx.send(item(2), LONG));
         thread::sleep(Duration::from_millis(50));
         // The third send is still blocked; unblock it.
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
+        assert!(recv(&rx).is_some());
         let outcome = handle.join().unwrap();
         match outcome {
             SendOutcome::SentAfterBlocking(d) => {
@@ -1175,18 +1142,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_blocks_until_item_arrives() {
-        let (tx, rx) = channel(4);
-        let handle = thread::spawn(move || rx.recv());
-        thread::sleep(Duration::from_millis(30));
-        assert_eq!(tx.send(item(7), LONG), SendOutcome::Sent);
-        match handle.join().unwrap() {
-            RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, 7),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn dropping_all_senders_disconnects_receiver() {
         let (tx, rx) = channel(4);
         let tx2 = tx.clone();
@@ -1194,8 +1149,8 @@ mod tests {
         drop(tx);
         drop(tx2);
         // Buffered item still delivered, then disconnect.
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert_eq!(rx.recv(), RecvResult::Disconnected);
+        assert!(recv(&rx).is_some());
+        assert_eq!(recv(&rx), None);
     }
 
     #[test]
@@ -1222,7 +1177,7 @@ mod tests {
         }
         drop(tx);
         let mut got = 0;
-        while let RecvResult::Envelope(_) = rx.recv() {
+        while recv(&rx).is_some() {
             got += 1;
         }
         for h in handles {
@@ -1235,7 +1190,7 @@ mod tests {
     fn eos_envelopes_pass_through() {
         let (tx, rx) = channel(2);
         tx.send(Envelope::Eos, LONG);
-        assert_eq!(rx.recv(), RecvResult::Envelope(Envelope::Eos));
+        assert_eq!(recv(&rx), Some(Envelope::Eos));
     }
 
     #[test]
@@ -1280,9 +1235,9 @@ mod tests {
         // Dropping the only sender must still disconnect the receiver even
         // though the probe outlives it.
         drop(tx);
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert_eq!(rx.recv(), RecvResult::Disconnected);
+        assert!(recv(&rx).is_some());
+        assert!(recv(&rx).is_some());
+        assert_eq!(recv(&rx), None);
         assert_eq!(probe.len(), 0);
     }
 
@@ -1320,8 +1275,8 @@ mod tests {
         assert_eq!(outcome.blocked, Duration::ZERO);
         assert!(batch.is_empty(), "delivered prefix must be drained");
         for i in 0..10 {
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, i),
+            match recv(&rx) {
+                Some(Envelope::Data(t)) => assert_eq!(t.seq, i),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1535,7 +1490,7 @@ mod tests {
         assert_eq!(outcome.failure, Some(BatchFailure::TimedOut));
         assert_eq!(outcome.delivered, 0);
         assert_eq!(batch.len(), 1);
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
+        assert!(recv(&rx).is_some());
     }
 
     #[test]
@@ -1586,10 +1541,10 @@ mod tests {
         let h2 = mk(1, tx2);
         let mut per_key: Vec<Vec<u64>> = vec![Vec::new(); 2];
         loop {
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => per_key[t.key as usize].push(t.seq),
-                RecvResult::Envelope(_) => panic!("expected data"),
-                RecvResult::Disconnected => break,
+            match recv(&rx) {
+                Some(Envelope::Data(t)) => per_key[t.key as usize].push(t.seq),
+                Some(_) => panic!("expected data"),
+                None => break,
             }
         }
         h1.join().unwrap();
@@ -1664,8 +1619,8 @@ mod tests {
         // Last-sender drop must also fire the hook so a pooled consumer
         // gets scheduled to observe the disconnect.
         assert!(fired.load(Ordering::SeqCst) > before_drop);
-        assert!(matches!(rx.recv(), RecvResult::Envelope(_)));
-        assert_eq!(rx.recv(), RecvResult::Disconnected);
+        assert!(recv(&rx).is_some());
+        assert_eq!(recv(&rx), None);
     }
 
     #[test]
@@ -1702,8 +1657,8 @@ mod tests {
         let (tx, rx) = channel(1);
         for i in 0..100 {
             assert_eq!(tx.send(item(i), LONG), SendOutcome::Sent);
-            match rx.recv() {
-                RecvResult::Envelope(Envelope::Data(t)) => assert_eq!(t.seq, i),
+            match recv(&rx) {
+                Some(Envelope::Data(t)) => assert_eq!(t.seq, i),
                 other => panic!("unexpected {other:?}"),
             }
         }

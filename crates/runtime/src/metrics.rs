@@ -1,7 +1,10 @@
 //! Per-actor runtime metrics and the run report.
 //!
-//! Every actor counts arrivals, departures, drops, busy time and
-//! backpressure-blocked time, and timestamps its first and last departure.
+//! Every actor counts arrivals, departures, drops, busy time,
+//! backpressure-blocked time and helping time, and timestamps its first
+//! and last departure. The three times never overlap: time a blocked
+//! producer spends running other actors is its `helping` time and the
+//! helped actors' `busy` time, never its own `blocked` time.
 //! From those the engine derives the *measured* steady-state departure
 //! rates compared against the cost model in §5.2.
 
@@ -18,6 +21,7 @@ pub(crate) struct ActorMetrics {
     pub dropped: AtomicU64,
     pub busy_ns: AtomicU64,
     pub blocked_ns: AtomicU64,
+    pub helping_ns: AtomicU64,
     /// Nanoseconds since engine start of the first/last departure
     /// (`u64::MAX` = never departed).
     pub first_out_ns: AtomicU64,
@@ -78,6 +82,7 @@ impl ActorMetrics {
             dropped: self.dropped.load(Ordering::Relaxed),
             busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
             blocked: Duration::from_nanos(self.blocked_ns.load(Ordering::Relaxed)),
+            helping: Duration::from_nanos(self.helping_ns.load(Ordering::Relaxed)),
             first_out_ns: self.first_out_ns.load(Ordering::Relaxed),
             last_out_ns: self.last_out_ns.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
@@ -117,8 +122,13 @@ pub struct ActorReport {
     /// backoff. (Per-invocation timing would put two `clock_gettime`
     /// calls on the per-tuple path — more than a cheap operator costs.)
     pub busy: Duration,
-    /// Time spent blocked on full downstream mailboxes (backpressure).
+    /// Time spent blocked on full downstream mailboxes (backpressure),
+    /// excluding time spent helping.
     pub blocked: Duration,
+    /// Time spent running other (downstream) actors while a send to a
+    /// full mailbox was pending, instead of parking. That time is the
+    /// helped actors' `busy` time; it is counted here, not as `blocked`.
+    pub helping: Duration,
     /// Nanoseconds (since run start) of the first departure
     /// (`u64::MAX` if none).
     pub first_out_ns: u64,
@@ -274,6 +284,7 @@ mod tests {
             dropped: 0,
             busy: Duration::ZERO,
             blocked: Duration::ZERO,
+            helping: Duration::ZERO,
             first_out_ns: first_ns,
             last_out_ns: last_ns,
             panics: 0,

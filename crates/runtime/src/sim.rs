@@ -13,6 +13,12 @@
 //! * actors are perfectly parallel: any number can be busy at the same
 //!   virtual instant, exactly the dedicated-thread assumption of §5.1.
 //!
+//! This is where the paper's one-thread-per-actor configuration lives: a
+//! wall-clock thread per actor would need one core per concurrently busy
+//! actor to show that parallelism, while virtual time gives every actor
+//! its own server on any host. The threaded engine ([`crate::run`]) is a
+//! worker pool instead, sized to the host's cores.
+//!
 //! The operator logic itself executes for real — filters drop real items,
 //! windows aggregate real values, joins match real pairs — so measured
 //! selectivities, routing randomness and queueing transients are all
@@ -675,6 +681,8 @@ fn simulate_with(
             dropped: 0,
             busy: Duration::from_nanos(a.busy_ns),
             blocked: Duration::from_nanos(a.blocked_ns),
+            // Every simulated actor owns its thread: nobody helps.
+            helping: Duration::ZERO,
             first_out_ns: a.first_out_ns,
             last_out_ns: a.last_out_ns,
             // The simulator models ideal operators: no panics, so the
@@ -730,9 +738,9 @@ fn simulate_with(
 /// Selects how a deployment is executed.
 #[derive(Debug, Clone)]
 pub enum Executor {
-    /// Thread-per-actor with real bounded mailboxes (the Akka-like mode;
-    /// needs roughly one core per concurrently busy actor to exhibit the
-    /// modeled parallelism).
+    /// The threaded engine: real bounded mailboxes and wall-clock time,
+    /// worker actors multiplexed over a worker pool (the Akka-like mode;
+    /// exhibits the modeled parallelism only up to the pool's core count).
     Threads(crate::EngineConfig),
     /// Discrete-event virtual-time execution (perfect parallelism on any
     /// host; deterministic given seeds).

@@ -1,7 +1,7 @@
 //! Actor supervision: restart policies, degraded mode, dead letters.
 //!
 //! The threaded executor wraps every operator invocation in
-//! `catch_unwind`, so a panicking operator never takes its actor thread
+//! `catch_unwind`, so a panicking operator never takes its worker thread
 //! (let alone the whole process) down. What happens next is decided by the
 //! actor's [`SupervisionPolicy`], mirroring Akka's supervision directives
 //! (the paper's reference substrate, §4.2):

@@ -146,15 +146,18 @@ pub const LATENCY_BUCKETS: usize = 64;
 
 /// A log-bucketed (HDR-style) latency histogram with atomic buckets.
 ///
-/// Recording is wait-free (one `fetch_add` plus a `fetch_max`); quantile
-/// extraction interpolates linearly inside the winning power-of-two
-/// bucket, so the relative quantile error is bounded by the bucket width
-/// (< 2× — ample for p50/p95/p99 over log-normal-ish latency spectra).
+/// Recording is wait-free (`fetch_add`s plus a `fetch_min`/`fetch_max`);
+/// quantile extraction interpolates linearly inside the winning
+/// power-of-two bucket, narrowed to the observed `[min, max]` range, so
+/// the relative quantile error is bounded by the bucket width (< 2× —
+/// ample for p50/p95/p99 over log-normal-ish latency spectra) and no
+/// quantile ever falls outside the recorded values.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
+    min_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
@@ -171,6 +174,7 @@ impl LatencyHistogram {
             buckets: [(); LATENCY_BUCKETS].map(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
+            min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
         }
     }
@@ -183,7 +187,7 @@ impl LatencyHistogram {
     /// Records `n` identical latency observations in one update. The
     /// engine's sink path run-length-coalesces consecutive equal
     /// latencies (batch-granular stamps make them common) so a whole run
-    /// costs four shared-atomic RMWs instead of `4 * n`.
+    /// costs five shared-atomic RMWs instead of `5 * n`.
     pub fn record_n(&self, ns: u64, n: u64) {
         if n == 0 {
             return;
@@ -193,6 +197,7 @@ impl LatencyHistogram {
         self.count.fetch_add(n, Ordering::Relaxed);
         self.sum_ns
             .fetch_add(ns.saturating_mul(n), Ordering::Relaxed);
+        self.min_ns.fetch_min(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
@@ -216,12 +221,14 @@ impl LatencyHistogram {
                 continue;
             }
             if cum + n >= target {
-                // Interpolate within [2^i, 2^(i+1)) by rank.
-                let lower = 1u64 << i;
-                let width = lower; // bucket width == lower bound
+                // Interpolate by rank within [2^i, 2^(i+1)), narrowed to
+                // the observed [min, max] range.
+                let max = self.max_ns.load(Ordering::Relaxed);
+                let lo = (1u64 << i).max(self.min_ns.load(Ordering::Relaxed));
+                let hi = (1u64 << i).saturating_mul(2).min(max);
                 let frac = (target - cum) as f64 / n as f64;
-                let est = lower as f64 + frac * width as f64;
-                return Some((est as u64).min(self.max_ns.load(Ordering::Relaxed)));
+                let est = lo as f64 + frac * hi.saturating_sub(lo) as f64;
+                return Some((est as u64).min(max));
             }
             cum += n;
         }
@@ -553,8 +560,12 @@ pub struct ActorSample {
     /// the online service-time estimate `µ̂ = Δbusy_ns / Δitems_in`).
     pub busy_ns: u64,
     /// Cumulative nanoseconds this actor spent blocked sending downstream
-    /// (backpressure it *suffered*).
+    /// (backpressure it *suffered*), excluding helping time.
     pub blocked_ns: u64,
+    /// Cumulative nanoseconds this actor spent running other actors while
+    /// one of its sends was pending on a full mailbox. The helped actors
+    /// count the same time as `busy_ns`, so it is not `blocked_ns`.
+    pub helping_ns: u64,
     /// Cumulative nanoseconds upstream producers spent blocked pushing
     /// into this actor's mailbox (backpressure it *caused*; 0 for
     /// sources, which have no mailbox).
@@ -678,7 +689,7 @@ impl TelemetrySnapshot {
                 s,
                 ",\"arrival_rate\":{:.3},\"departure_rate\":{:.3},\"utilization\":{:.4},\
                  \"panics\":{},\"restarts\":{},\"dead_letters\":{},\"dropped\":{},\
-                 \"busy_ns\":{},\"blocked_ns\":{},\"inbox_stall_ns\":{},\
+                 \"busy_ns\":{},\"blocked_ns\":{},\"helping_ns\":{},\"inbox_stall_ns\":{},\
                  \"snapshots\":{},\"snapshot_bytes\":{},\"align_stall_ns\":{},\
                  \"recoveries\":{},\"replayed\":{},\"replay_overflows\":{}}}",
                 a.arrival_rate,
@@ -690,6 +701,7 @@ impl TelemetrySnapshot {
                 a.dropped,
                 a.busy_ns,
                 a.blocked_ns,
+                a.helping_ns,
                 a.inbox_stall_ns,
                 a.snapshots,
                 a.snapshot_bytes,
@@ -850,6 +862,7 @@ pub(crate) struct RawCounters {
     pub items_out: u64,
     pub busy_ns: u64,
     pub blocked_ns: u64,
+    pub helping_ns: u64,
     pub inbox_stall_ns: u64,
     pub panics: u64,
     pub restarts: u64,
@@ -877,6 +890,7 @@ impl RawCounters {
             items_out: m.items_out.load(Ordering::Relaxed),
             busy_ns: m.busy_ns.load(Ordering::Relaxed),
             blocked_ns: m.blocked_ns.load(Ordering::Relaxed),
+            helping_ns: m.helping_ns.load(Ordering::Relaxed),
             inbox_stall_ns,
             panics: m.panics.load(Ordering::Relaxed),
             restarts: m.restarts.load(Ordering::Relaxed),
@@ -1026,6 +1040,7 @@ impl TelemetryHub {
                 dropped: r.dropped,
                 busy_ns: r.busy_ns,
                 blocked_ns: r.blocked_ns,
+                helping_ns: r.helping_ns,
                 inbox_stall_ns: r.inbox_stall_ns,
                 snapshots: r.snapshots,
                 snapshot_bytes: r.snapshot_bytes,
@@ -1087,6 +1102,7 @@ impl TelemetryHub {
             s.dropped = r.dropped;
             s.busy_ns = r.busy_ns;
             s.blocked_ns = r.blocked_ns;
+            s.helping_ns = r.helping_ns;
             s.inbox_stall_ns = r.inbox_stall_ns;
             s.snapshots = r.snapshots;
             s.snapshot_bytes = r.snapshot_bytes;
@@ -1138,6 +1154,19 @@ mod tests {
     }
 
     #[test]
+    fn histogram_quantiles_never_fall_below_the_smallest_value() {
+        // All values share the [32768, 65536) bucket; plain rank
+        // interpolation over the whole bucket would put p50 near 49152.
+        let h = LatencyHistogram::new();
+        for ns in 50_000..50_200u64 {
+            h.record(ns);
+        }
+        let s = h.snapshot();
+        assert!(s.p50_ns >= 50_000, "p50 {}", s.p50_ns);
+        assert!(s.p99_ns <= s.max_ns);
+    }
+
+    #[test]
     fn histogram_empty_and_zero() {
         let h = LatencyHistogram::new();
         assert_eq!(h.quantile(0.5), None);
@@ -1154,8 +1183,9 @@ mod tests {
             h.record(1_000_000);
         }
         let s = h.snapshot();
-        // Every quantile lands in the same bucket, capped at the true max.
-        assert!(s.p50_ns <= 1_000_000 * 2);
+        // Every quantile lands in the same bucket, narrowed to the one
+        // observed value.
+        assert_eq!(s.p50_ns, 1_000_000);
         assert_eq!(s.max_ns, 1_000_000);
         assert_eq!(s.mean_ns, 1_000_000);
         assert!(s.p99_ns <= s.max_ns);
@@ -1347,6 +1377,7 @@ mod tests {
             "\"max_ns\":",
             "\"busy_ns\":0",
             "\"blocked_ns\":0",
+            "\"helping_ns\":0",
             "\"inbox_stall_ns\":0",
             "\"snapshots\":0",
             "\"snapshot_bytes\":0",

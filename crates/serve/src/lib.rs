@@ -14,9 +14,11 @@
 //!   reuses the cached optimized plan; byte equality of the cached
 //!   canonical plan text is the identity guarantee.
 //! * **Shared-pool multiplexing** — admitted tenants deploy together via
-//!   [`spinstreams_runtime::run_tenants`]: one worker pool, tenant-tagged
-//!   tasks, weighted-fair (deficit-round-robin) ready-queue scheduling,
-//!   and per-tenant reports/telemetry/dead-letters.
+//!   [`spinstreams_runtime::run_tenants`]: one worker pool (the engine's
+//!   only threaded executor, sized by `EngineConfig::executor`, one worker
+//!   per core by default), tenant-tagged tasks, weighted-fair
+//!   (deficit-round-robin) ready-queue scheduling, and per-tenant
+//!   reports/telemetry/dead-letters. Admission capacity is that pool size.
 //! * **Model-driven admission** — at submission the service runs
 //!   Algorithm 1 on the optimized candidate and compares its core demand
 //!   (`Σ ρ·replicas`, [`spinstreams_analysis::plan_demand_cores`]) against

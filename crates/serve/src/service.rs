@@ -77,14 +77,9 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Settings for a service running on `engine`, with admission capacity
-    /// derived from the engine's worker count (pool size, or the host's
-    /// parallelism for thread-per-actor).
+    /// derived from the engine's resolved pool size.
     pub fn new(engine: EngineConfig) -> Self {
-        let workers = engine.resolved_pool_workers().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
+        let workers = engine.resolved_pool_workers();
         ServeConfig {
             engine,
             admission: AdmissionConfig::for_workers(workers),

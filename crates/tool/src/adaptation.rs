@@ -127,7 +127,7 @@ fn scenario_config(seed: u64) -> AdaptiveRunConfig {
             min_samples: 100,
         },
         batch_size: 8,
-        workers: None,
+        workers: 0,
         checkpoint_interval: 500,
         telemetry_interval: Duration::from_millis(50),
         window_ticks: 4,

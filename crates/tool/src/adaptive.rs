@@ -75,8 +75,8 @@ pub struct AdaptiveRunConfig {
     pub controller: AdaptiveConfig,
     /// Envelope batch size (`EngineConfig::batch_size`).
     pub batch_size: usize,
-    /// `None` = thread-per-actor; `Some(n)` = pool executor (`0` = auto).
-    pub workers: Option<usize>,
+    /// Worker-pool size (`0` = one per core).
+    pub workers: usize,
     /// Epoch-aligned checkpoint cadence in source items. Required (not
     /// optional): migrations apply at epoch barriers.
     pub checkpoint_interval: u64,
@@ -102,7 +102,7 @@ impl Default for AdaptiveRunConfig {
             seed: 0xADA9,
             controller: AdaptiveConfig::default(),
             batch_size: 1,
-            workers: None,
+            workers: 0,
             checkpoint_interval: 500,
             telemetry_interval: Duration::from_millis(20),
             window_ticks: 4,
@@ -467,9 +467,8 @@ pub fn run_adaptive(
         seed: cfg.seed,
         batch_size: cfg.batch_size.max(1),
         checkpoint_interval: Some(cfg.checkpoint_interval),
-        executor: match cfg.workers {
-            Some(workers) => ExecutorKind::Pool { workers },
-            None => ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool {
+            workers: cfg.workers,
         },
         reconfig: Some(handle.clone()),
         ..EngineConfig::default()

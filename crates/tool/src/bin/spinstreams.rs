@@ -115,8 +115,8 @@ fn usage() -> ExitCode {
                      --min-samples N (re-profiler floor, default 200), --json\n\
          \n\
          --batch N defaults to the topology file's <settings batch-size=\"N\"/> (or 1);\n\
-         --workers N selects the worker-pool executor with N threads (0 = one per core;\n\
-         default: the file's <settings workers=\"N\"/>, else one dedicated thread per actor);\n\
+         --workers N sizes the worker pool to N threads (0 = one per core; default: the\n\
+         file's <settings workers=\"N\"/>, else one per core);\n\
          --checkpoint N enables epoch-aligned checkpointing every N source items (0 = off;\n\
          default: the file's <settings checkpoint-interval=\"N\"/>, else off);\n\
          --pin-cores 0,1,2 pins engine threads to the listed cores, sharding actors by\n\
@@ -133,7 +133,7 @@ fn usage() -> ExitCode {
                      threaded smoke run) over seeded topologies; exits nonzero on divergence.\n\
                      --seeds N (default 20), --seed-start S (default 0), --no-threaded,\n\
                      --no-fission, --no-fusion (skip the monomorphized-vs-interpreted fusion\n\
-                     layer), --no-minimize, --workers N (pool executor for the threaded\n\
+                     layer), --no-minimize, --workers N (pool size for the threaded\n\
                      smoke runs), --pin-cores L, --artifacts DIR (write repro artifacts),\n\
                      --adaptation-seeds A,B,C (run the drift → live-migration adaptation\n\
                      layer on the listed seeds instead of the static sweep),\n\
@@ -296,7 +296,7 @@ fn oracle_cmd(args: &[String]) -> ExitCode {
     }
     if let Some(raw) = flag_value(args, "--workers") {
         match raw.parse::<usize>() {
-            Ok(n) => cfg.workers = Some(n),
+            Ok(n) => cfg.workers = n,
             Err(_) => {
                 eprintln!("--workers must be a non-negative integer (0 = one per core)");
                 return ExitCode::FAILURE;
@@ -319,9 +319,8 @@ fn oracle_cmd(args: &[String]) -> ExitCode {
         seed_start + seeds - 1,
         cfg.threaded_runs.min(seeds as usize),
         match cfg.workers {
-            Some(0) => "pool (auto workers)".to_string(),
-            Some(n) => format!("pool ({n} workers)"),
-            None => "thread-per-actor".to_string(),
+            0 => "pool (auto workers)".to_string(),
+            n => format!("pool ({n} workers)"),
         },
         if cfg.check_fission { "on" } else { "off" },
         if cfg.check_fusion { "on" } else { "off" },
@@ -635,8 +634,9 @@ fn main() -> ExitCode {
         },
         None => xml_settings.batch_size.unwrap_or(1),
     };
-    // Same precedence for the executor: --workers N beats the document's
-    // <settings workers="N"/>; absent both, thread-per-actor.
+    // Same precedence for the pool size: --workers N beats the document's
+    // <settings workers="N"/>; absent both, the engine default (one worker
+    // per core).
     let workers = match flag_value(&args, "--workers") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(n) => Some(n),
@@ -647,6 +647,9 @@ fn main() -> ExitCode {
         },
         None => xml_settings.workers,
     };
+    let executor = workers.map_or_else(ExecutorKind::default, |workers| ExecutorKind::Pool {
+        workers,
+    });
     // And for checkpointing: --checkpoint N beats the document's
     // <settings checkpoint-interval="N"/>; `--checkpoint 0` forces it off.
     let checkpoint = match flag_value(&args, "--checkpoint") {
@@ -885,7 +888,7 @@ fn main() -> ExitCode {
                 let mut cfg = AdaptiveRunConfig {
                     items,
                     batch_size: batch,
-                    workers,
+                    workers: workers.unwrap_or_default(),
                     checkpoint_interval: interval,
                     controller,
                     telemetry_interval: Duration::from_millis(interval_ms),
@@ -982,7 +985,7 @@ fn main() -> ExitCode {
                 cfg.seed = seed;
             }
             cfg.batch_size = batch;
-            cfg.workers = workers;
+            cfg.workers = workers.unwrap_or_default();
             cfg.checkpoint_interval = checkpoint;
             cfg.pinning = pinning.clone();
             cfg.crash_at_epoch = match flag_value(&args, "--crash-at-epoch") {
@@ -1087,10 +1090,7 @@ fn main() -> ExitCode {
             let engine = EngineConfig {
                 batch_size: batch,
                 checkpoint_interval: checkpoint,
-                executor: match workers {
-                    Some(n) => ExecutorKind::Pool { workers: n },
-                    None => ExecutorKind::ThreadPerActor,
-                },
+                executor,
                 pinning: pinning.clone(),
                 ..EngineConfig::default()
             };
@@ -1128,10 +1128,7 @@ fn main() -> ExitCode {
                 Executor::Threads(EngineConfig {
                     batch_size: batch,
                     checkpoint_interval: checkpoint,
-                    executor: match workers {
-                        Some(n) => ExecutorKind::Pool { workers: n },
-                        None => ExecutorKind::ThreadPerActor,
-                    },
+                    executor,
                     pinning: pinning.clone(),
                     ..EngineConfig::default()
                 })

@@ -43,11 +43,10 @@ pub struct ChaosConfig {
     /// at every batch size, so the harness lets callers fault-inject the
     /// batched data path too.
     pub batch_size: usize,
-    /// Executor selection: `None` keeps thread-per-actor; `Some(n)` runs
-    /// the worker-pool executor with `n` threads (`0` = auto). Chaos
-    /// semantics must hold under both executors, so the harness can
-    /// fault-inject the pool scheduler too.
-    pub workers: Option<usize>,
+    /// Worker-pool size (`0` = one per core). Chaos semantics must hold
+    /// at every worker count, so the harness can fault-inject the pool
+    /// scheduler with fewer workers than actors too.
+    pub workers: usize,
     /// Epoch-aligned checkpointing cadence forwarded to
     /// [`EngineConfig::checkpoint_interval`]: sources inject a barrier
     /// marker every `n` items and restarted workers recover by
@@ -73,7 +72,7 @@ impl Default for ChaosConfig {
             max_restarts: u32::MAX,
             backoff: Backoff::none(),
             batch_size: 1,
-            workers: None,
+            workers: 0,
             checkpoint_interval: None,
             crash_at_epoch: None,
             crash_after_tuples: None,
@@ -186,9 +185,8 @@ fn run_chaos_inner(
         seed: cfg.seed,
         batch_size: cfg.batch_size.max(1),
         checkpoint_interval: cfg.checkpoint_interval,
-        executor: match cfg.workers {
-            Some(workers) => ExecutorKind::Pool { workers },
-            None => ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool {
+            workers: cfg.workers,
         },
         pinning: cfg.pinning.clone(),
         ..EngineConfig::default()
@@ -402,41 +400,39 @@ mod tests {
     }
 
     #[test]
-    fn chaos_outcome_is_identical_across_executors() {
+    fn chaos_outcome_is_identical_across_worker_counts() {
         // The fault schedule is a pure function of (actor id, seed, item
-        // order), and per-mailbox FIFO is preserved by the pool executor,
-        // so panics, restarts, dead letters and the delivered fraction
-        // must not depend on which executor ran the graph — even with
-        // fewer workers than actors.
+        // order), and per-mailbox FIFO is preserved by the pool, so
+        // panics, restarts, dead letters and the delivered fraction must
+        // not depend on how many workers ran the graph — even with fewer
+        // workers than actors.
         let topo = pipeline();
         let base = ChaosConfig {
             items: 3_000,
             panic_prob: 0.05,
             seed: 11,
+            workers: 1,
             ..ChaosConfig::default()
         };
-        let threads = run_chaos(&topo, &base).unwrap();
-        let pool = run_chaos(
+        let one = run_chaos(&topo, &base).unwrap();
+        let two = run_chaos(
             &topo,
             &ChaosConfig {
-                workers: Some(2), // fewer workers than the 4 actors
+                workers: 2, // fewer workers than the 4 actors
                 ..base
             },
         )
         .unwrap();
-        assert!(threads.run.total_panics() > 0);
-        assert_eq!(threads.run.total_panics(), pool.run.total_panics());
-        assert_eq!(threads.run.total_restarts(), pool.run.total_restarts());
+        assert!(one.run.total_panics() > 0);
+        assert_eq!(one.run.total_panics(), two.run.total_panics());
+        assert_eq!(one.run.total_restarts(), two.run.total_restarts());
+        assert_eq!(one.run.total_dead_letters(), two.run.total_dead_letters());
         assert_eq!(
-            threads.run.total_dead_letters(),
-            pool.run.total_dead_letters()
+            one.run.dead_letters.total(),
+            two.run.dead_letters.total(),
+            "structural log totals agree across worker counts"
         );
-        assert_eq!(
-            threads.run.dead_letters.total(),
-            pool.run.dead_letters.total(),
-            "structural log totals agree across executors"
-        );
-        assert_eq!(threads.measured_fraction, pool.measured_fraction);
+        assert_eq!(one.measured_fraction, two.measured_fraction);
     }
 
     #[test]
@@ -444,7 +440,7 @@ mod tests {
         // Deterministically crash every worker mid-stream. With
         // checkpointing on, recovery restores-and-replays, then retries
         // the poisoned item live: the sink must see exactly what an
-        // unfaulted run delivers, under both executors.
+        // unfaulted run delivers, at one and two workers.
         let topo = pipeline();
         let base = ChaosConfig {
             items: 4_000,
@@ -454,7 +450,7 @@ mod tests {
         };
         let clean = run_chaos(&topo, &base).unwrap();
         assert!((clean.measured_fraction - 1.0).abs() < 1e-12);
-        for workers in [None, Some(2)] {
+        for workers in [1, 2] {
             let faulted = run_chaos(
                 &topo,
                 &ChaosConfig {
@@ -467,17 +463,17 @@ mod tests {
             .unwrap();
             assert!(
                 faulted.run.total_panics() >= 3,
-                "each worker crashes once (workers={workers:?})"
+                "each worker crashes once (workers={workers})"
             );
             assert!(faulted.run.total_recoveries() > 0, "recovery must run");
             assert_eq!(
                 faulted.run.total_dead_letters(),
                 0,
-                "recovered crashes lose nothing (workers={workers:?})"
+                "recovered crashes lose nothing (workers={workers})"
             );
             assert_eq!(
                 faulted.measured_fraction, clean.measured_fraction,
-                "sink counts diverged from the unfaulted run (workers={workers:?})"
+                "sink counts diverged from the unfaulted run (workers={workers})"
             );
             assert!(faulted.run.last_complete_epoch.is_some());
             let table = chaos_table("pipeline", &base, &faulted);

@@ -216,6 +216,12 @@ pub fn prometheus_text(snap: &TelemetrySnapshot, verdicts: &[DriftVerdict]) -> S
     );
     counter(
         &mut s,
+        "spinstreams_actor_helping_ns_total",
+        "Nanoseconds the actor spent running other actors while its send waited on a full mailbox.",
+        &|a| a.helping_ns,
+    );
+    counter(
+        &mut s,
         "spinstreams_actor_inbox_stall_ns_total",
         "Nanoseconds producers spent stalled on this actor's inbox (receiver-edge backpressure).",
         &|a| a.inbox_stall_ns,
@@ -396,6 +402,7 @@ mod tests {
                     dropped: 0,
                     busy_ns: 100_000_000,
                     blocked_ns: 0,
+                    helping_ns: 0,
                     inbox_stall_ns: 0,
                     snapshots: 0,
                     snapshot_bytes: 0,
@@ -420,6 +427,7 @@ mod tests {
                     dropped: 0,
                     busy_ns: 396_000_000,
                     blocked_ns: 12_000_000,
+                    helping_ns: 3_000_000,
                     inbox_stall_ns: 7_000_000,
                     snapshots: 3,
                     snapshot_bytes: 96,
@@ -507,6 +515,7 @@ mod tests {
         let text = prometheus_text(&sample_snapshot(), &verdicts());
         assert!(text.contains("spinstreams_actor_busy_ns_total{actor=\"slow\"} 396000000"));
         assert!(text.contains("spinstreams_actor_blocked_ns_total{actor=\"slow\"} 12000000"));
+        assert!(text.contains("spinstreams_actor_helping_ns_total{actor=\"slow\"} 3000000"));
         assert!(text.contains("spinstreams_actor_inbox_stall_ns_total{actor=\"slow\"} 7000000"));
         assert!(text.contains("spinstreams_actor_snapshots_total{actor=\"slow\"} 3"));
         assert!(text.contains("spinstreams_actor_snapshot_bytes_total{actor=\"slow\"} 96"));

@@ -44,9 +44,8 @@ pub struct MultiTenantConfig {
     pub items: u64,
     /// Envelope batch size of the shared engine.
     pub batch_size: usize,
-    /// Pool workers (`Some(0)` = one per core); `None` runs
-    /// thread-per-actor.
-    pub workers: Option<usize>,
+    /// Pool workers (`0` = one per core).
+    pub workers: usize,
     /// Symmetric relative error allowed between the summed measured
     /// aggregate and the summed Algorithm 1 predictions.
     pub tolerance: f64,
@@ -58,7 +57,7 @@ impl Default for MultiTenantConfig {
             tenants: 3,
             items: 1_200,
             batch_size: 8,
-            workers: Some(1),
+            workers: 1,
             tolerance: 0.25,
         }
     }
@@ -153,9 +152,8 @@ pub fn tenant_topology(seed: u64, idx: usize) -> Topology {
 /// fusion is off so the `sink` actor keeps its name in the run report.
 fn scenario_service(cfg: &MultiTenantConfig) -> StreamService {
     let engine = EngineConfig {
-        executor: match cfg.workers {
-            Some(workers) => ExecutorKind::Pool { workers },
-            None => ExecutorKind::ThreadPerActor,
+        executor: ExecutorKind::Pool {
+            workers: cfg.workers,
         },
         batch_size: cfg.batch_size.max(1),
         ..EngineConfig::default()

@@ -119,9 +119,9 @@ pub struct RuntimeSettings {
     /// Envelope batch size for the threaded engine's coalesced data path
     /// (`EngineConfig::batch_size`); `None` leaves the engine default.
     pub batch_size: Option<usize>,
-    /// Pool-executor worker thread count (`EngineConfig::executor =
+    /// Worker-pool thread count (`EngineConfig::executor =
     /// Pool { workers }`); `0` means auto (available parallelism), `None`
-    /// keeps the default thread-per-actor executor.
+    /// leaves the engine default (also one worker per core).
     pub workers: Option<usize>,
     /// Epoch-aligned checkpoint cadence in source items
     /// (`EngineConfig::checkpoint_interval`); `None` disables
@@ -161,8 +161,8 @@ pub fn runtime_settings_from_xml(text: &str) -> Result<RuntimeSettings, SchemaEr
             settings.batch_size = Some(n);
         }
         if let Some(raw) = node.get_attr("workers") {
-            // `workers="0"` is valid: it selects the pool executor with an
-            // auto-resolved (available-parallelism) thread count.
+            // `workers="0"` is valid: an auto-resolved
+            // (available-parallelism) thread count.
             let n = raw
                 .parse::<usize>()
                 .map_err(|_| invalid(format!("workers={raw:?} is not a non-negative integer")))?;

@@ -33,6 +33,7 @@ ACTOR_FIELDS = {
     "dropped": int,
     "busy_ns": int,
     "blocked_ns": int,
+    "helping_ns": int,
     "inbox_stall_ns": int,
     "snapshots": int,
     "snapshot_bytes": int,

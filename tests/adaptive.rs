@@ -1,6 +1,7 @@
 //! End-to-end adaptive re-optimization tests: a sustained mid-run
 //! service-time shift must trigger a live plan migration — route swap on an
-//! epoch barrier, no stream stop — across batch sizes and both executors,
+//! epoch barrier, no stream stop — across batch sizes at one and two pool
+//! workers,
 //! with exactly-once sink delivery throughout; a clean run must never
 //! migrate; and a migration racing a supervised crash/restart must still
 //! deliver every tuple.
@@ -36,7 +37,7 @@ fn pipeline() -> Topology {
     b.build().unwrap()
 }
 
-fn config(batch: usize, workers: Option<usize>) -> AdaptiveRunConfig {
+fn config(batch: usize, workers: usize) -> AdaptiveRunConfig {
     AdaptiveRunConfig {
         items: ITEMS,
         seed: 11,
@@ -91,13 +92,13 @@ fn assert_migrated_exactly_once(cfg: &AdaptiveRunConfig, label: &str) {
 }
 
 #[test]
-fn migration_fires_across_batch_sizes_thread_per_actor() {
+fn migration_fires_across_batch_sizes_one_worker() {
     for batch in [1usize, 8, 64] {
         let cfg = AdaptiveRunConfig {
             faults: vec![slowdown()],
-            ..config(batch, None)
+            ..config(batch, 1)
         };
-        assert_migrated_exactly_once(&cfg, &format!("thread-per-actor, batch {batch}"));
+        assert_migrated_exactly_once(&cfg, &format!("pool(1), batch {batch}"));
     }
 }
 
@@ -106,7 +107,7 @@ fn migration_fires_across_batch_sizes_pool() {
     for batch in [1usize, 8, 64] {
         let cfg = AdaptiveRunConfig {
             faults: vec![slowdown()],
-            ..config(batch, Some(2))
+            ..config(batch, 2)
         };
         assert_migrated_exactly_once(&cfg, &format!("pool(2), batch {batch}"));
     }
@@ -125,7 +126,7 @@ fn migration_survives_a_racing_supervised_restart() {
             slow_after: Some((2_000, 300_000)),
             crash_after_tuples: Some(2_600),
         }],
-        ..config(8, None)
+        ..config(8, 0)
     };
     let outcome = run_adaptive(&pipeline(), None, &cfg).unwrap();
     assert!(
@@ -145,7 +146,7 @@ fn migration_survives_a_racing_supervised_restart() {
 
 #[test]
 fn clean_run_keeps_the_static_plan() {
-    let cfg = config(8, None);
+    let cfg = config(8, 0);
     let outcome = run_adaptive(&pipeline(), None, &cfg).unwrap();
     assert!(outcome.ticks > 0, "controller must tick");
     assert!(

@@ -1,8 +1,8 @@
-//! Equivalence tests for the worker-pool executor: multiplexing actors
-//! over a fixed pool of cooperative workers must change scheduling, never
+//! Equivalence tests for the worker pool: multiplexing actors over a
+//! fixed pool of cooperative workers must change scheduling, never
 //! semantics. Delivered counts, per-key order, and supervision accounting
-//! must be independent of the executor; and the per-batch sink clock must
-//! bound latency-histogram skew to a single drained batch.
+//! must be independent of the worker count; and the per-batch sink clock
+//! must bound latency-histogram skew to a single drained batch.
 
 use spinstreams::analysis::DriftConfig;
 use spinstreams::core::{KeyDistribution, OperatorSpec, ServiceTime, Topology, Tuple};
@@ -15,14 +15,14 @@ use spinstreams::tool::predict_vs_measure_telemetry;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The schedules under test: the thread-per-actor baseline and pools both
-/// saturated (workers ≥ actors) and oversubscribed (workers < actors).
-const EXECUTORS: [ExecutorKind; 4] = [
-    ExecutorKind::ThreadPerActor,
+/// The schedules under test: the one-worker baseline and pools both
+/// oversubscribed (workers < actors) and saturated (workers ≥ actors).
+const EXECUTORS: [ExecutorKind; 3] = [
     ExecutorKind::Pool { workers: 1 },
     ExecutorKind::Pool { workers: 2 },
     ExecutorKind::Pool { workers: 4 },
 ];
+const BASELINE: ExecutorKind = EXECUTORS[0];
 
 fn engine_cfg(executor: ExecutorKind) -> EngineConfig {
     EngineConfig {
@@ -36,8 +36,8 @@ fn engine_cfg(executor: ExecutorKind) -> EngineConfig {
 
 /// Source with uniform keys fanning out over a `KeyMap` into two replicas
 /// that converge on an order-recording sink. Each key follows exactly one
-/// path, so its arrival order at the sink is fully determined — under
-/// every executor.
+/// path, so its arrival order at the sink is fully determined — at every
+/// worker count.
 fn run_keyed(executor: ExecutorKind, items: u64) -> Vec<(u64, u64)> {
     let arrivals: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut g = ActorGraph::new();
@@ -85,7 +85,7 @@ fn keyed_counts_and_per_key_order_match_across_executors() {
         }
         seqs
     };
-    let baseline = per_key(&run_keyed(ExecutorKind::ThreadPerActor, items));
+    let baseline = per_key(&run_keyed(BASELINE, items));
     for seqs in &baseline {
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
@@ -98,15 +98,15 @@ fn keyed_counts_and_per_key_order_match_across_executors() {
         assert_eq!(
             per_key(&arrivals),
             baseline,
-            "{executor:?}: per-key order must match thread-per-actor"
+            "{executor:?}: per-key order must match one worker"
         );
     }
 }
 
 /// A mid-pipeline panic under the default Stop+Drop policy: the panicking
 /// tuple and everything behind it become dead letters. The accounting is
-/// count-based, not timing-based, so every executor must report the same
-/// delivered and dead-lettered totals.
+/// count-based, not timing-based, so every worker count must report the
+/// same delivered and dead-lettered totals.
 #[test]
 fn supervision_accounting_matches_across_executors() {
     let run_flaky = |executor: ExecutorKind| -> (u64, u64) {
@@ -133,14 +133,14 @@ fn supervision_accounting_matches_across_executors() {
         assert_eq!(r.actor(w).panics, 1, "{executor:?}");
         (r.actor(k).items_in, r.total_dead_letters())
     };
-    let (delivered, dead) = run_flaky(ExecutorKind::ThreadPerActor);
+    let (delivered, dead) = run_flaky(BASELINE);
     assert_eq!(delivered, 10, "tuples 0..=9 precede the poison tuple");
     assert_eq!(delivered + dead, 25, "every tuple is accounted for");
     for executor in EXECUTORS {
         assert_eq!(
             run_flaky(executor),
             (delivered, dead),
-            "{executor:?}: supervision accounting must match thread-per-actor"
+            "{executor:?}: supervision accounting must match one worker"
         );
     }
 }
@@ -163,8 +163,7 @@ fn sink_latency_skew_is_bounded_to_one_drained_batch() {
         let k = g.add_actor("sink", Behavior::worker(Spin::new("burn", SPIN_NS)));
         g.connect(s, Route::Unicast(k));
         let tcfg = TelemetryConfig::default().with_interval(Duration::from_secs(10));
-        let (report, tel) =
-            run_with_telemetry(g, &engine_cfg(ExecutorKind::ThreadPerActor), &tcfg).unwrap();
+        let (report, tel) = run_with_telemetry(g, &engine_cfg(BASELINE), &tcfg).unwrap();
         assert_eq!(report.actor(k).items_in, 8);
         let last = tel.snapshots.last().unwrap();
         assert_eq!(last.latencies.len(), 1);

@@ -2,7 +2,8 @@
 //! monomorphized [`FusedChain`] must be observably identical to the same
 //! group run through the interpreted `MetaOperator` — same per-operator
 //! counts, same per-key tuple sequences, byte-identical virtual-time
-//! telemetry — across batch sizes and both executors. A crash mid-stream
+//! telemetry — across batch sizes at one and two pool workers. A crash
+//! mid-stream
 //! must also recover identically under either representation.
 //!
 //! [`FusedChain`]: spinstreams::runtime::FusedChain
@@ -20,10 +21,10 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Executors under test: the thread-per-actor baseline and a pool small
+/// Pool sizes under test: the one-worker baseline and a pool small
 /// enough to multiplex several actors per worker.
 const EXECUTORS: [ExecutorKind; 2] = [
-    ExecutorKind::ThreadPerActor,
+    ExecutorKind::Pool { workers: 1 },
     ExecutorKind::Pool { workers: 2 },
 ];
 
@@ -278,7 +279,7 @@ fn run_chain(
 #[test]
 fn fused_chain_emits_the_same_tuples_as_the_meta_operator() {
     const ITEMS: u64 = 3_000;
-    let golden = run_chain(fused_worker(), 1, ExecutorKind::ThreadPerActor, ITEMS);
+    let golden = run_chain(fused_worker(), 1, EXECUTORS[0], ITEMS);
     assert!(
         golden.len() >= 4,
         "keyed source must spread keys, got {}",
@@ -352,7 +353,7 @@ fn run_recovery(worker: Box<dyn StreamOperator>, crash: bool) -> RecoveryRun {
     g.set_supervision(w, SupervisorSpec::restart(4, Backoff::none()));
     let cfg = EngineConfig {
         batch_size: 8,
-        executor: ExecutorKind::ThreadPerActor,
+        executor: EXECUTORS[0],
         checkpoint_interval: Some(CHECKPOINT_EVERY),
         mailbox_capacity: 64,
         send_timeout: Duration::from_secs(5),

@@ -1,7 +1,7 @@
 //! End-to-end stateful recovery tests: a partitioned-stateful operator
 //! killed mid-stream under epoch-aligned checkpointing must produce sink
 //! output identical to an unfaulted run — same counts, same per-key
-//! aggregate sequences — across batch sizes and both executors.
+//! aggregate sequences — across batch sizes at one and two pool workers.
 
 use spinstreams::core::{KeyDistribution, Tuple};
 use spinstreams::operators::{Aggregation, WindowedAggregate};
@@ -39,6 +39,9 @@ fn per_key(captured: &Captured) -> BTreeMap<u64, Vec<f64>> {
     }
     m
 }
+
+/// The baseline pool size.
+const ONE_WORKER: ExecutorKind = ExecutorKind::Pool { workers: 1 };
 
 fn config(batch_size: usize, executor: ExecutorKind, checkpoint: Option<u64>) -> EngineConfig {
     EngineConfig {
@@ -97,10 +100,10 @@ struct ActorIdPair {
 
 #[test]
 fn faulted_keyed_aggregate_matches_unfaulted_across_batches_and_executors() {
-    // The golden output: checkpointing off, no faults, batch 1, threaded.
-    // Every other variant — checkpointed, crashed, batched, pooled — must
-    // reproduce it tuple for tuple.
-    let (_, golden, _) = run_pipeline(&config(1, ExecutorKind::ThreadPerActor, None), None);
+    // The golden output: checkpointing off, no faults, batch 1, one
+    // worker. Every other variant — checkpointed, crashed, batched, two
+    // workers — must reproduce it tuple for tuple.
+    let (_, golden, _) = run_pipeline(&config(1, ONE_WORKER, None), None);
     let golden_seq = project(&golden);
     let golden_keys = per_key(&golden);
     assert!(
@@ -109,10 +112,7 @@ fn faulted_keyed_aggregate_matches_unfaulted_across_batches_and_executors() {
         golden_keys.len()
     );
 
-    for executor in [
-        ExecutorKind::ThreadPerActor,
-        ExecutorKind::Pool { workers: 2 },
-    ] {
+    for executor in [ONE_WORKER, ExecutorKind::Pool { workers: 2 }] {
         for batch in [1usize, 8, 64] {
             let label = format!("{executor:?} batch {batch}");
             let cfg = config(batch, executor, Some(CHECKPOINT_EVERY));
@@ -160,8 +160,8 @@ fn crash_without_checkpointing_loses_window_state() {
     // and the per-key windows restart cold, so the output diverges. This
     // pins that the equivalence above is earned by recovery, not by the
     // operator being accidentally stateless.
-    let (_, golden, _) = run_pipeline(&config(1, ExecutorKind::ThreadPerActor, None), None);
-    let cfg = config(1, ExecutorKind::ThreadPerActor, None);
+    let (_, golden, _) = run_pipeline(&config(1, ONE_WORKER, None), None);
+    let cfg = config(1, ONE_WORKER, None);
     let (r, faulted, ids) = run_pipeline(&cfg, Some(CRASH_AT_TUPLE));
     let a = r.actor(ids.worker);
     assert_eq!(a.panics, 1);

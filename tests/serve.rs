@@ -1,6 +1,6 @@
 //! Tier-1 multi-tenant serving tests: N seeded tenants co-scheduled on one
-//! shared engine must reproduce their solo sink counts exactly across both
-//! executors and batch sizes; identical submissions must hit the plan
+//! shared engine must reproduce their solo sink counts exactly at one and
+//! two pool workers and across batch sizes; identical submissions must hit the plan
 //! cache and get the byte-identical plan; the admission model must queue
 //! and reject predicted oversubscription before deployment; and the PR 9
 //! migration hook must swap the cached plan in place.
@@ -13,7 +13,7 @@ use spinstreams::tool::{run_multitenant_layer_with, tenant_topology, MultiTenant
 
 const SEED: u64 = 7;
 
-fn scenario(workers: Option<usize>, batch: usize) -> MultiTenantConfig {
+fn scenario(workers: usize, batch: usize) -> MultiTenantConfig {
     MultiTenantConfig {
         tenants: 3,
         items: 600,
@@ -58,7 +58,7 @@ fn pipeline(pace_us: f64, work_us: f64) -> Topology {
 #[test]
 fn three_tenants_on_the_shared_pool_match_solo_across_batch_sizes() {
     for batch in [1, 8, 64] {
-        let report = run_multitenant_layer_with(SEED, &scenario(Some(1), batch))
+        let report = run_multitenant_layer_with(SEED, &scenario(1, batch))
             .unwrap_or_else(|e| panic!("batch {batch}: {e}"));
         assert!(
             report.is_clean(),
@@ -78,13 +78,13 @@ fn three_tenants_on_the_shared_pool_match_solo_across_batch_sizes() {
 }
 
 #[test]
-fn three_tenants_thread_per_actor_match_solo_across_batch_sizes() {
+fn three_tenants_on_two_pool_workers_match_solo_across_batch_sizes() {
     for batch in [1, 8, 64] {
-        let report = run_multitenant_layer_with(SEED + 1, &scenario(None, batch))
+        let report = run_multitenant_layer_with(SEED + 1, &scenario(2, batch))
             .unwrap_or_else(|e| panic!("batch {batch}: {e}"));
         assert!(
             report.is_clean(),
-            "thread-per-actor batch {batch}: {:?}",
+            "two workers, batch {batch}: {:?}",
             report.divergences
         );
         for t in &report.tenants {
