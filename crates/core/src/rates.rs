@@ -45,6 +45,13 @@ impl ServiceTime {
         ServiceTime(secs)
     }
 
+    /// Creates a service time from seconds per item, or `None` if `secs`
+    /// is negative, NaN or infinite — the fallible form of
+    /// [`from_secs`](Self::from_secs) for values read from input.
+    pub fn try_from_secs(secs: f64) -> Option<Self> {
+        (secs.is_finite() && secs >= 0.0).then_some(ServiceTime(secs))
+    }
+
     /// Creates a service time from milliseconds per item.
     pub fn from_millis(ms: f64) -> Self {
         Self::from_secs(ms / 1e3)
@@ -243,6 +250,18 @@ mod tests {
         assert!((r.items_per_sec() - 250.0).abs() < 1e-12);
         let half = ServiceRate::per_sec(100.0) / 2.0;
         assert!((half.items_per_sec() - 50.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn try_from_secs_rejects_what_from_secs_panics_on() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(ServiceTime::try_from_secs(bad), None);
+        }
+        assert_eq!(ServiceTime::try_from_secs(0.0), Some(ServiceTime::ZERO));
+        assert_eq!(
+            ServiceTime::try_from_secs(0.002),
+            Some(ServiceTime::from_millis(2.0))
+        );
     }
 
     #[test]

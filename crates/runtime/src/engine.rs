@@ -352,12 +352,13 @@ struct DeliveryCtx {
     buf_pool: Arc<BatchPool>,
     /// Total envelopes currently coalesced across all buffers.
     buffered: usize,
-    /// When the coalescing buffers were last drained (deadline policy).
+    /// When a paced source's coalescing buffers were last drained
+    /// (deadline policy; workers never read or update it).
     last_flush: Instant,
     /// Clock reading taken once per drained input batch (worker actors
-    /// only; `0` = never refreshed). Sink-port latency/departure stamping
-    /// uses this instead of one `Instant::now()` per envelope, bounding
-    /// the stamp skew to one batch.
+    /// only; `0` = never set). Departure, sink-latency and span stamping
+    /// use it instead of one `Instant::now()` per envelope or flush,
+    /// bounding the stamp skew to one input batch.
     cached_now_ns: u64,
     /// Sink-port departures accumulated since the last flush. All share
     /// the batch-cached clock reading, so they fold into one metrics
@@ -395,15 +396,16 @@ impl DeliveryCtx {
         self.started_at.elapsed().as_nanos() as u64
     }
 
-    /// Re-reads the clock into the per-batch cache. Called once per
-    /// drained input batch, not per envelope.
-    fn refresh_now(&mut self) {
-        self.cached_now_ns = self.now_ns();
+    /// Caches `now` as the clock of the input batch being processed.
+    fn set_batch_clock(&mut self, now: Instant) {
+        // `max(1)`: zero means "no batch clock".
+        self.cached_now_ns =
+            (now.saturating_duration_since(self.started_at).as_nanos() as u64).max(1);
     }
 
-    /// The batch-cached clock for sink-port stamping; falls back to a
-    /// fresh read on actors that never refresh (sources, whose emission
-    /// times *are* the measurement).
+    /// The batch-cached clock for departure and sink-port stamping; falls
+    /// back to a fresh read on actors that never set it (sources, whose
+    /// emission times *are* the measurement).
     fn sink_now(&self) -> u64 {
         if self.cached_now_ns != 0 {
             self.cached_now_ns
@@ -530,7 +532,7 @@ impl DeliveryCtx {
         let sender = self.senders[dest]
             .as_ref()
             .expect("validated destination has a mailbox");
-        let outcome = self.send_batch_helping(sender, &mut buf);
+        let (outcome, waited) = self.send_batch_helping(sender, &mut buf);
         if outcome.blocked > Duration::ZERO {
             let ns = outcome.blocked.as_nanos() as u64;
             self.metrics.blocked_ns.fetch_add(ns, Ordering::Relaxed);
@@ -541,8 +543,14 @@ impl DeliveryCtx {
             self.trace_event(TraceEventKind::Blocked { ns });
         }
         if outcome.delivered > 0 {
+            // A send that blocked or helped ends well after the batch
+            // clock: stamp it fresh, and advance a worker's batch clock so
+            // later departures never stamp earlier than this one.
+            if waited && self.cached_now_ns != 0 {
+                self.set_batch_clock(Instant::now());
+            }
             self.metrics
-                .record_out_n(self.now_ns(), outcome.delivered as u64);
+                .record_out_n(self.sink_now(), outcome.delivered as u64);
         }
         if let Some(failure) = outcome.failure {
             let reason = match failure {
@@ -579,8 +587,9 @@ impl DeliveryCtx {
                 }
             }
         }
-        if self.batch_size > 1 {
-            // Batch-1 never consults the deadline; skip the clock read.
+        if self.batch_size > 1 && self.cached_now_ns == 0 {
+            // Only sources consult the deadline, and batch-1 never does;
+            // everyone else skips the clock read.
             self.last_flush = Instant::now();
         }
     }
@@ -620,15 +629,19 @@ impl DeliveryCtx {
     /// excludes helping time, which [`help`](Self::help) charges to this
     /// actor's `helping` counter instead — the helped actor already counts
     /// that time as its own busy time.
-    fn send_batch_helping(&self, sender: &Sender, buf: &mut Vec<Envelope>) -> BatchOutcome {
+    ///
+    /// The flag is true if the send left the non-blocking fast path (it
+    /// blocked or helped).
+    fn send_batch_helping(&self, sender: &Sender, buf: &mut Vec<Envelope>) -> (BatchOutcome, bool) {
         let total = buf.len();
         let fast = sender.try_send_batch(buf);
         if buf.is_empty() || fast.disconnected {
-            return BatchOutcome {
+            let outcome = BatchOutcome {
                 delivered: total - buf.len(),
                 blocked: Duration::ZERO,
                 failure: (!buf.is_empty()).then_some(BatchFailure::Disconnected),
             };
+            return (outcome, false);
         }
         let timeout = self.send_timeout;
         let slow_start = Instant::now();
@@ -666,11 +679,12 @@ impl DeliveryCtx {
                 break Some(BatchFailure::TimedOut);
             }
         };
-        BatchOutcome {
+        let outcome = BatchOutcome {
             delivered: total - buf.len(),
             blocked: slow_start.elapsed().saturating_sub(helping),
             failure,
-        }
+        };
+        (outcome, true)
     }
 
     /// Runs one ready downstream task on this thread (see
@@ -1461,14 +1475,18 @@ impl WorkerTask {
     /// buffering overhead; see [`ActorReport::busy`].
     fn process_batch(&mut self) -> bool {
         use std::sync::atomic::Ordering;
-        if self.reconfig.is_some() {
-            self.poll_reconfig();
-        }
         let m = &self.ctx.metrics;
         let waited0 = m.blocked_ns.load(Ordering::Relaxed)
             + m.helping_ns.load(Ordering::Relaxed)
             + m.backoff_ns.load(Ordering::Relaxed);
+        // The batch's one clock read: busy-time start and the cached clock
+        // every departure, sink latency and span of the batch is stamped
+        // with.
         let t0 = Instant::now();
+        self.ctx.set_batch_clock(t0);
+        if self.reconfig.is_some() {
+            self.poll_reconfig();
+        }
         let finished = self.process_inbox();
         // Coalesced output never outlives the input batch that produced
         // it: flush before the next intake so batching adds no cross-batch
@@ -1728,6 +1746,8 @@ impl WorkerTask {
     /// EOS propagation, finish trace. Runs exactly once per actor.
     fn finish(&mut self) {
         use std::sync::atomic::Ordering;
+        // The terminal flush may come long after the last input batch.
+        self.ctx.set_batch_clock(Instant::now());
         if let Some(ckpt) = &self.ckpt {
             self.ctx
                 .metrics
@@ -1765,8 +1785,6 @@ impl WorkerTask {
             self.inbox = inbox;
             match drained {
                 TryRecvBatch::Received(_) => {
-                    // One clock read covers the whole drained batch.
-                    self.ctx.refresh_now();
                     if self.process_batch() {
                         self.finish();
                         return Polled::Finished;
@@ -2079,14 +2097,20 @@ impl PoolShared {
     /// Stores `task` in `slot`. Its mailbox then wakes the pool on every
     /// push burst and on final-sender drop, so the consumer gets scheduled
     /// even while its producers are blocked mid-send.
+    ///
+    /// The hook goes in only after the task is in its slot: sources are
+    /// already running, and a wake they caused could otherwise let a
+    /// helping source claim the still-empty slot, which `run_task` retires
+    /// as finished — leaving the actor's mailbox undrained forever.
     fn install(pool: &Arc<PoolShared>, slot: usize, task: WorkerTask) {
-        let hook_pool = Arc::clone(pool);
-        task.rx
-            .set_wake_hook(Arc::new(move || hook_pool.wake(slot)));
         task.ctx.trace_event(TraceEventKind::ActorStarted);
-        *pool.tasks[slot]
+        let hook_pool = Arc::clone(pool);
+        pool.tasks[slot]
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(task);
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(task)
+            .rx
+            .set_wake_hook(Arc::new(move || hook_pool.wake(slot)));
     }
 
     /// Claims the exclusive right to poll task `i`.
@@ -2884,6 +2908,15 @@ fn run_graphs(
     // Sources run on dedicated threads (they pace wall-clock emission
     // schedules); a blocked source send helps run ready consumers inline
     // instead of parking. Worker actors become [`PoolShared`] tasks.
+    // Count the tasks before any source starts: a source that helps can
+    // run a task to completion before the loop below ends, and its
+    // decrement must not precede this store.
+    let tasks = preps
+        .iter()
+        .flat_map(|p| &p.prepared)
+        .filter(|(_, pa)| matches!(pa, Prepared::Worker { .. }))
+        .count();
+    pool.live.store(tasks, Ordering::Release);
     let mut source_handles = Vec::new();
     let mut task_ids = Vec::new();
     let mut num_sources = 0usize;
@@ -2917,7 +2950,6 @@ fn run_graphs(
             }
         }
     }
-    pool.live.store(task_ids.len(), Ordering::Release);
     // Initial sweep: every task polls at least once, covering zero-upstream
     // actors and envelopes pushed by sources before the wake hooks above
     // were installed.
@@ -3196,11 +3228,51 @@ mod tests {
         g.set_mailbox_capacity(w, 16);
         let r = run(g, &fast_cfg()).unwrap();
         let src_rate = r.actor(s).departure_rate().unwrap();
+        // The bottleneck's service rate as measured in this same run, so
+        // a loaded host that slows the spin slows both sides alike.
+        let slow = r.actor(w);
+        let service_rate = slow.items_in as f64 / slow.busy.as_secs_f64();
         assert!(
-            (src_rate - 1000.0).abs() / 1000.0 < 0.15,
-            "source rate {src_rate} should be backpressured to ~1000/s"
+            (src_rate - service_rate).abs() / service_rate < 0.15,
+            "source rate {src_rate} should be backpressured to the slow \
+             actor's service rate {service_rate}"
+        );
+        assert!(
+            src_rate <= 1000.0 * 1.15,
+            "source rate {src_rate} exceeds the ~1000/s bottleneck"
         );
         assert!(r.actor(s).blocked > Duration::ZERO);
+    }
+
+    #[test]
+    fn batch_clock_departure_stamps_keep_the_rate() {
+        // A worker stamps departures with its input batch's start clock.
+        // Behind a backpressured source at batch 64, its departure rate
+        // must still match the source's, both measured in this run.
+        let mut g = ActorGraph::new();
+        let s = g.add_actor(
+            "src",
+            Behavior::Source(SourceConfig::new(f64::INFINITY, 16_000)),
+        );
+        let w = g.add_actor("slow", Behavior::worker(Spin::new("slow", 20_000)));
+        let k = g.add_actor("sink", Behavior::worker(PassThrough));
+        g.connect(s, Route::Unicast(w));
+        g.connect(w, Route::Unicast(k));
+        let cfg = EngineConfig {
+            batch_size: 64,
+            ..fast_cfg()
+        };
+        let r = run(g, &cfg).unwrap();
+        assert!(
+            r.actor(s).blocked > Duration::ZERO,
+            "source must be backpressured"
+        );
+        let src_rate = r.actor(s).departure_rate().unwrap();
+        let worker_rate = r.actor(w).departure_rate().unwrap();
+        assert!(
+            (worker_rate - src_rate).abs() / src_rate < 0.15,
+            "worker departure rate {worker_rate} vs source {src_rate}"
+        );
     }
 
     #[test]

@@ -21,6 +21,38 @@
 //! CAS and advance `tail` with a plain store, upgrading themselves to the
 //! CAS path if the sender is ever cloned.
 //!
+//! Batched transfers pay the shared-counter cost once per burst, not once
+//! per envelope:
+//!
+//! * **Burst claim.** A batched send scans the run of free slots at `tail`
+//!   (stamp equal to the slot's position), capped by the batch length and
+//!   so never more than one lap, and claims the whole run with one `tail`
+//!   update — a plain store on single-producer edges, one `SeqCst` CAS
+//!   (retried on failure) on fan-in edges. It then writes and
+//!   `Release`-stamps each slot in order, so the consumer can take the
+//!   run's prefix while the rest is still being written. No other producer
+//!   can claim a slot past `tail` without moving `tail`, so a successful
+//!   claim proves every scanned stamp still read "free". A zero-length run
+//!   falls back to the single-slot path, which tells "full" apart from "pop
+//!   in flight".
+//! * **Burst publish.** A drain walks the run of ready slots from `head`,
+//!   reading each value and `Release`-stamping its slot free as it goes,
+//!   and publishes `head` once, with one `SeqCst` store, at the end. It
+//!   never takes more than the caller's `max`. If the first slot is not
+//!   ready it falls back to the single-slot path, which tells "empty" apart
+//!   from "push in flight".
+//!
+//! While a drain is in progress `head` lags the slots it has already
+//! freed. That is safe because producers never decide on `head` alone: a
+//! claim is granted by a slot's stamp, which the drain releases slot by
+//! slot, and `head` is read only after a stamp has said "occupied" — a
+//! stale `head` then sends the producer round its retry loop until the
+//! publish, or reports the ring full; it never hands out a slot that still
+//! holds data. Length probes may read the ring as fuller than it is for
+//! the duration of one drain. Producers parked on a full ring re-check the
+//! slot stamps before parking (`push_ready`), and the drain wakes them only
+//! after its publish.
+//!
 //! Blocking (BAS backpressure and empty-mailbox receives) is adaptive:
 //! callers spin briefly, then yield, then park the OS thread. Parking uses a
 //! Dekker-style handshake — the parker publishes a "parked" flag, issues a
@@ -211,8 +243,8 @@ struct Inner {
     /// "free this lap", equal to `head + 1` means "holds data this lap".
     one_lap: usize,
     /// Next slot to pop. Written only by the single consumer (plain store,
-    /// no CAS); producers read it only to confirm fullness, where staleness
-    /// is benign (resolved by the park handshake).
+    /// no CAS, once per drained burst); producers read it only to confirm
+    /// fullness, where staleness is benign (see the module docs).
     head: CacheLine<AtomicUsize>,
     /// Next slot to claim. Producers claim with a CAS, or a plain store on
     /// single-producer edges (`mp == false`).
@@ -384,27 +416,125 @@ impl Inner {
     }
 
     /// Enqueues the longest prefix of `batch` that fits; returns how many.
+    ///
+    /// Claims whole runs of free slots at once (see [`claim_run`]); a
+    /// zero-length run falls back to [`try_push`], which tells "full" apart
+    /// from "pop in flight" and "claim contended".
+    ///
+    /// [`claim_run`]: Self::claim_run
+    /// [`try_push`]: Self::try_push
     fn push_burst(&self, batch: &[Envelope]) -> usize {
         let mut n = 0;
-        while n < batch.len() && self.try_push(batch[n]) {
-            n += 1;
+        while n < batch.len() {
+            let run = self.claim_run(&batch[n..]);
+            if run > 0 {
+                n += run;
+            } else if self.try_push(batch[n]) {
+                n += 1;
+            } else {
+                break;
+            }
         }
         n
     }
 
+    /// Claims the run of free slots at `tail` (at most `batch.len()`, never
+    /// more than one lap) with one `tail` update, then writes and stamps
+    /// them in order. Returns the run length; 0 if the slot at `tail` is
+    /// not free.
+    fn claim_run(&self, batch: &[Envelope]) -> usize {
+        let limit = batch.len().min(self.capacity);
+        let mask = self.one_lap - 1;
+        // Relaxed: the claim below is what hands out slots (see `try_push`).
+        let mut tail = self.tail.0.load(Ordering::Relaxed);
+        loop {
+            // A slot is free for position `pos` iff its stamp equals `pos`.
+            // Acquire pairs with the consumer's Release that freed it, as in
+            // `try_push`. Nobody else can claim a slot past `tail` without
+            // moving `tail`, so a successful claim below proves every
+            // scanned stamp still reads "free".
+            let mut end = tail;
+            let mut run = 0;
+            while run < limit && self.buffer[end & mask].stamp.load(Ordering::Acquire) == end {
+                end = self.advance(end);
+                run += 1;
+            }
+            if run == 0 {
+                return 0;
+            }
+            if !self.mp.load(Ordering::Relaxed) {
+                // Single producer: a plain store claims the run.
+                self.tail.0.store(end, Ordering::Relaxed);
+            } else if let Err(t) = self.tail.0.compare_exchange_weak(
+                tail,
+                end,
+                // SeqCst on success, as in `try_push`.
+                Ordering::SeqCst,
+                Ordering::Relaxed,
+            ) {
+                tail = t;
+                continue;
+            }
+            let mut pos = tail;
+            for env in &batch[..run] {
+                let slot = &self.buffer[pos & mask];
+                // SAFETY: the claim gave this thread every slot of the run
+                // until its stamp store publishes it.
+                unsafe {
+                    (*slot.value.get()).write(*env);
+                }
+                // Release publishes the value write; the consumer can take
+                // the run's prefix while the rest is still being written.
+                slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
+                pos = self.advance(pos);
+            }
+            return run;
+        }
+    }
+
     /// Dequeues up to `max` envelopes into `buf`; returns how many.
+    ///
+    /// Walks the run of ready slots from `head`, releasing each slot as it
+    /// goes, and publishes `head` once for the whole run. If the first slot
+    /// is not ready, falls back to [`try_pop`](Self::try_pop), which tells
+    /// "empty" apart from "push in flight".
+    ///
+    /// Must only be called by the single consumer, with `max > 0`.
     fn pop_burst(&self, buf: &mut Vec<Envelope>, max: usize) -> usize {
+        debug_assert!(max > 0, "the fallback pop would exceed max");
+        let mask = self.one_lap - 1;
+        // Relaxed: only the consumer writes `head` (see `try_pop`).
+        let mut head = self.head.0.load(Ordering::Relaxed);
         let mut n = 0;
         while n < max {
-            match self.try_pop() {
-                Some(env) => {
-                    buf.push(env);
-                    n += 1;
-                }
-                None => break,
+            let slot = &self.buffer[head & mask];
+            // Acquire pairs with the producer's Release stamp store.
+            if slot.stamp.load(Ordering::Acquire) != head.wrapping_add(1) {
+                break;
             }
+            // SAFETY: the stamp says the producer finished writing and no
+            // other thread pops; the value is initialized and ours.
+            buf.push(unsafe { (*slot.value.get()).assume_init_read() });
+            // Release frees the slot for the producers' next lap, ordering
+            // our value read before their overwrite.
+            slot.stamp
+                .store(head.wrapping_add(self.one_lap), Ordering::Release);
+            head = self.advance(head);
+            n += 1;
         }
-        n
+        if n > 0 {
+            // One publish per burst; SeqCst keeps it in the total order the
+            // producers' full-detection fences rely on.
+            self.head.0.store(head, Ordering::SeqCst);
+            return n;
+        }
+        match self.try_pop() {
+            Some(env) => {
+                buf.push(env);
+                1
+            }
+            None => 0,
+        }
     }
 
     /// True if the slot at `head` holds ready data (a pop would succeed
@@ -1649,6 +1779,218 @@ mod tests {
         assert!(outcome.complete());
         assert_eq!(outcome.delivered, 10);
         assert_eq!(got, 10);
+    }
+
+    /// Completes by hand a push whose slot at `pos` was claimed by moving
+    /// `tail` without writing the slot: the second half of `try_push`.
+    fn finish_claimed_push(inner: &Inner, pos: usize, env: Envelope) {
+        let slot = &inner.buffer[pos & (inner.one_lap - 1)];
+        // SAFETY: the test claimed the slot and no one else writes it.
+        unsafe {
+            (*slot.value.get()).write(env);
+        }
+        slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
+    }
+
+    /// Appends at most `max` envelopes through `try_drain` or `recv_drain`;
+    /// returns how many were appended.
+    fn drain_counted(rx: &Receiver, buf: &mut Vec<Envelope>, max: usize, blocking: bool) -> usize {
+        let before = buf.len();
+        let n = if blocking {
+            match rx.recv_drain(buf, max) {
+                RecvBatch::Received(n) => n,
+                other => panic!("unexpected {other:?}"),
+            }
+        } else {
+            match rx.try_drain(buf, max) {
+                TryRecvBatch::Received(n) => n,
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        assert_eq!(buf.len() - before, n, "reported count matches appended");
+        assert!((1..=max).contains(&n), "drained {n} with max {max}");
+        n
+    }
+
+    #[test]
+    fn drains_never_append_more_than_max() {
+        for blocking in [false, true] {
+            // Ready runs longer than `max`.
+            for max in [1usize, 2, 5] {
+                let (tx, rx) = channel(16);
+                let mut batch: Vec<Envelope> = (0..12).map(item).collect();
+                assert_eq!(tx.try_send_batch(&mut batch).delivered, 12);
+                // Envelopes already in the buffer are left alone.
+                let mut buf = vec![Envelope::Eos];
+                let mut got = 0;
+                while got < 12 {
+                    got += drain_counted(&rx, &mut buf, max, blocking);
+                }
+                assert_eq!(got, 12);
+                assert_eq!(&buf[1..], &(0..12).map(item).collect::<Vec<_>>()[..]);
+            }
+            // A claimed-but-unwritten slot ends a burst, and a drain whose
+            // *first* slot is mid-push waits for it, still honouring max 1.
+            let (tx, rx) = channel(8);
+            for i in 0..2 {
+                assert_eq!(tx.try_send(item(i)), TrySend::Sent);
+            }
+            let inner = Arc::clone(&rx.inner);
+            let claimed = inner.tail.0.load(Ordering::SeqCst);
+            inner.tail.0.store(inner.advance(claimed), Ordering::SeqCst);
+            assert_eq!(tx.try_send(item(3)), TrySend::Sent);
+            let mut buf = Vec::new();
+            assert_eq!(drain_counted(&rx, &mut buf, 1, blocking), 1);
+            assert_eq!(drain_counted(&rx, &mut buf, 8, blocking), 1);
+            assert_eq!(buf, vec![item(0), item(1)]);
+            let finisher = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                finish_claimed_push(&inner, claimed, item(2));
+            });
+            assert_eq!(drain_counted(&rx, &mut buf, 1, blocking), 1);
+            assert_eq!(buf, vec![item(0), item(1), item(2)]);
+            finisher.join().unwrap();
+            assert_eq!(rx.len(), 1);
+            assert_eq!(drain_counted(&rx, &mut buf, 8, blocking), 1);
+            assert_eq!(buf.last(), Some(&item(3)));
+        }
+    }
+
+    #[test]
+    fn bursts_wrap_laps_in_fifo_order() {
+        for capacity in [1usize, 3, 256] {
+            for burst in [1usize, 7, 64, 300] {
+                for spsc in [false, true] {
+                    let (tx, rx) = if spsc {
+                        channel_spsc(capacity)
+                    } else {
+                        channel(capacity)
+                    };
+                    let (mut sent, mut received) = (0u64, 0u64);
+                    let mut buf = Vec::new();
+                    let mut step = 0usize;
+                    // At least three laps of the ring.
+                    while sent < 3 * capacity as u64 + burst as u64 {
+                        let queued = (sent - received) as usize;
+                        let mut batch: Vec<Envelope> =
+                            (sent..sent + burst as u64).map(item).collect();
+                        let out = tx.try_send_batch(&mut batch);
+                        assert_eq!(out.delivered, burst.min(capacity - queued));
+                        assert_eq!(batch.len(), burst - out.delivered);
+                        sent += out.delivered as u64;
+                        assert_eq!(tx.len(), (sent - received) as usize);
+                        let max = [1, 7, capacity, burst][step % 4];
+                        let queued = (sent - received) as usize;
+                        match rx.try_drain(&mut buf, max) {
+                            TryRecvBatch::Received(n) => assert_eq!(n, max.min(queued)),
+                            TryRecvBatch::Empty => assert_eq!(queued, 0),
+                            TryRecvBatch::Disconnected => panic!("sender alive"),
+                        }
+                        for env in buf.drain(..) {
+                            assert_eq!(env, item(received), "cap {capacity} burst {burst}");
+                            received += 1;
+                        }
+                        assert_eq!(rx.len(), (sent - received) as usize);
+                        step += 1;
+                    }
+                    drop(tx);
+                    while let TryRecvBatch::Received(_) = rx.try_drain(&mut buf, capacity) {
+                        for env in buf.drain(..) {
+                            assert_eq!(env, item(received));
+                            received += 1;
+                        }
+                    }
+                    assert_eq!(received, sent);
+                    assert_eq!(rx.len(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_mpsc_mixed_burst_stress() {
+        // Producers mix batch bursts of random length with single sends,
+        // markers included, into a tiny ring; the consumer drains with a
+        // random `max`. Every envelope arrives exactly once, in per-producer
+        // order, and no drain exceeds its `max`.
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 4_000;
+        // Envelope `i` of producer `p`: every 10th is an epoch marker that
+        // carries `(p, i)`, the rest are data tuples.
+        fn env_of(p: u64, i: u64) -> Envelope {
+            if i % 10 == 9 {
+                Envelope::Epoch(p << 32 | i)
+            } else {
+                Envelope::Data(Tuple::splat(p, i, 1.0))
+            }
+        }
+        let (tx, rx) = channel(8);
+        let handles: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    let mut rng = crate::XorShift64::new(0x5EED + p);
+                    let mut next = 0u64;
+                    let mut batch = Vec::new();
+                    while next < PER_PRODUCER {
+                        if rng.next_bounded(3) == 0 {
+                            while tx.try_send(env_of(p, next)) == TrySend::Full {
+                                thread::yield_now();
+                            }
+                            next += 1;
+                        } else {
+                            let end = (next + 1 + rng.next_bounded(24) as u64).min(PER_PRODUCER);
+                            batch.extend((next..end).map(|i| env_of(p, i)));
+                            while !batch.is_empty() {
+                                let out = tx.try_send_batch(&mut batch);
+                                assert!(!out.disconnected);
+                                if out.delivered == 0 {
+                                    thread::yield_now();
+                                }
+                            }
+                            next = end;
+                        }
+                    }
+                    while tx.try_send(Envelope::Eos) == TrySend::Full {
+                        thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut rng = crate::XorShift64::new(0xC0FFEE);
+        let mut expect = [0u64; PRODUCERS as usize];
+        let mut eos = 0;
+        let mut buf = Vec::new();
+        loop {
+            let max = 1 + rng.next_bounded(16);
+            match rx.try_drain(&mut buf, max) {
+                TryRecvBatch::Received(n) => {
+                    assert!(n <= max && buf.len() == n, "drained {n} with max {max}");
+                    for env in buf.drain(..) {
+                        let (p, i) = match env {
+                            Envelope::Data(t) => (t.key, t.seq),
+                            Envelope::Epoch(e) => (e >> 32, e & 0xFFFF_FFFF),
+                            Envelope::Eos => {
+                                eos += 1;
+                                continue;
+                            }
+                            Envelope::Handoff(_) => panic!("unexpected handoff"),
+                        };
+                        assert_eq!(env, env_of(p, i));
+                        assert_eq!(i, expect[p as usize], "producer {p} out of order");
+                        expect[p as usize] += 1;
+                    }
+                }
+                TryRecvBatch::Empty => thread::yield_now(),
+                TryRecvBatch::Disconnected => break,
+            }
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(expect, [PER_PRODUCER; PRODUCERS as usize]);
+        assert_eq!(eos, PRODUCERS);
     }
 
     #[test]

@@ -131,8 +131,15 @@ pub struct ActorReport {
     pub helping: Duration,
     /// Nanoseconds (since run start) of the first departure
     /// (`u64::MAX` if none).
+    ///
+    /// A worker stamps its departures with the clock read at the start of
+    /// the input batch that produced them (a send that blocked or helped
+    /// reads the clock afresh), so a stamp is early by at most one input
+    /// batch's processing time — the same bound sink latency accepts.
+    /// Sources stamp each flush with a fresh reading.
     pub first_out_ns: u64,
-    /// Nanoseconds (since run start) of the last departure.
+    /// Nanoseconds (since run start) of the last departure, with the same
+    /// one-input-batch skew bound as [`first_out_ns`](Self::first_out_ns).
     pub last_out_ns: u64,
     /// Operator invocations that panicked (caught by the supervisor).
     pub panics: u64,

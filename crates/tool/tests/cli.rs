@@ -147,6 +147,33 @@ fn chaos_rejects_bad_probability() {
 }
 
 #[test]
+fn analyze_rejects_unusable_service_times() {
+    for bad in ["-5", "NaN", "inf", "0"] {
+        let doc = TOPOLOGY.replace(
+            r#"service-time="400" time-unit="us""#,
+            &format!(r#"service-time="{bad}" time-unit="us""#),
+        );
+        let path = std::env::temp_dir().join(format!(
+            "ss-cli-bad-time-{}-{}.xml",
+            std::process::id(),
+            bad
+        ));
+        std::fs::write(&path, doc).expect("write temp topology");
+        let out = Command::new(env!("CARGO_BIN_EXE_spinstreams-cli"))
+            .args(["analyze", path.to_str().unwrap()])
+            .output()
+            .expect("spawn spinstreams CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A typed error (exit 1), not a panic (exit 101).
+        assert_eq!(out.status.code(), Some(1), "service-time={bad}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("operator 2"), "{stderr}");
+        assert!(stderr.contains(&format!("{bad:?}")), "{stderr}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
 fn bad_usage_and_bad_file_fail_cleanly() {
     let (_, stderr, ok) = run_cli(&["analyze"]);
     assert!(!ok);

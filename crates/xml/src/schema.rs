@@ -490,15 +490,27 @@ pub fn topology_from_xml(text: &str) -> Result<Topology, SchemaError> {
     for node in root.children_named("operator") {
         let id = num_attr(node, "id")? as usize;
         let name = req_attr(node, "name")?.to_string();
+        let raw = req_attr(node, "service-time")?;
         let raw_time = num_attr(node, "service-time")?;
         let unit = node.get_attr("time-unit").unwrap_or("us");
-        let service_time = match unit {
-            "s" => ServiceTime::from_secs(raw_time),
-            "ms" => ServiceTime::from_millis(raw_time),
-            "us" => ServiceTime::from_micros(raw_time),
-            "ns" => ServiceTime::from_micros(raw_time / 1e3),
+        // Same arithmetic as `ServiceTime::from_millis`/`from_micros`, so
+        // documents round-trip bit for bit.
+        let secs = match unit {
+            "s" => raw_time,
+            "ms" => raw_time / 1e3,
+            "us" => raw_time / 1e6,
+            "ns" => raw_time / 1e3 / 1e6,
             other => return Err(invalid(format!("unknown time-unit {other:?}"))),
         };
+        // The analysis divides by service times: zero is as unusable as
+        // negative, NaN or infinite.
+        let service_time = ServiceTime::try_from_secs(secs)
+            .filter(|t| t.as_secs() > 0.0)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "operator {id}: service-time={raw:?} must be a positive finite number"
+                ))
+            })?;
         let ty = req_attr(node, "type")?;
         let state = match ty {
             "stateless" => StateClass::Stateless,
@@ -680,6 +692,23 @@ mod tests {
             topology_from_xml(doc).unwrap_err(),
             SchemaError::Invalid { .. }
         ));
+        // Service times the analysis cannot use fail with the operator id
+        // and the raw value instead of panicking.
+        for bad in ["-5", "NaN", "inf", "-inf", "0", "-0", "1e-400"] {
+            let doc = format!(
+                r#"<topology>
+                <operator id="0" name="a" type="stateless" service-time="1"/>
+                <operator id="1" name="b" type="stateless" service-time="{bad}" time-unit="ms"/>
+                </topology>"#
+            );
+            match topology_from_xml(&doc).unwrap_err() {
+                SchemaError::Invalid { reason } => {
+                    assert!(reason.contains("operator 1"), "{reason}");
+                    assert!(reason.contains(&format!("{bad:?}")), "{reason}");
+                }
+                other => panic!("service-time={bad}: {other:?}"),
+            }
+        }
         // Partitioned without keys.
         let doc = r#"<topology><operator id="0" name="a" type="partitioned-stateful" service-time="1"/></topology>"#;
         assert!(matches!(
