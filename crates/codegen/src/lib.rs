@@ -22,6 +22,10 @@
 //! * every fusion group becomes one actor executing a [`MetaOperator`]
 //!   (Algorithm 4, "Generation with operator fusion").
 //!
+//! [`calibrate`] is the §4.1 profiling step every caller shares: it runs
+//! the unoptimized deployment once with its source unpaced and rewrites
+//! each operator's service time and selectivity from the measurements.
+//!
 //! [`emit_rust_source`] additionally renders the deployment as a standalone
 //! Rust program — the human-readable artifact corresponding to the
 //! generated Akka classes.
@@ -34,11 +38,13 @@
 #![warn(missing_docs)]
 
 mod build;
+mod calibrate;
 mod emit;
 mod serialize;
 
 pub use build::{
     build_actor_graph, CodegenError, CodegenOptions, FusionGroup, FusionStrategy, GeneratedPlan,
 };
+pub use calibrate::{calibrate, CalibrationError};
 pub use emit::emit_rust_source;
 pub use serialize::{checksum, plan_cache_key, serialize_plan, serialize_topology};

@@ -1,7 +1,6 @@
 //! The three measurement layers: calibration, virtual-time simulation, and
 //! threaded smoke runs.
 
-use crate::OracleConfig;
 use spinstreams_codegen::{
     build_actor_graph, CodegenError, CodegenOptions, FusionGroup, FusionStrategy,
 };
@@ -305,43 +304,31 @@ pub fn annotate(
     })
 }
 
-/// The §4.1 calibration step: executes the topology once on the
-/// deterministic simulator and [`annotate`]s it from the measured
-/// counters. Operators that consumed fewer than
-/// `cfg.min_calibration_samples` items keep their declared annotations.
-///
-/// # Errors
-///
-/// Propagates codegen/engine failures; fails with [`OracleError::Build`] if
-/// the calibrated topology no longer validates.
-pub fn calibrate(
-    topo: &Topology,
-    source_keys: &KeyDistribution,
-    cfg: &OracleConfig,
-    seed: u64,
-) -> Result<Topology, OracleError> {
-    let meas = measure(
-        topo,
-        source_keys,
-        &[],
-        cfg.calibration_items,
-        seed,
-        &sim_executor(seed),
-    )?;
-    annotate(topo, &meas, None, cfg.min_calibration_samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::scenario;
+    use crate::{OracleConfig, Scenario};
+    use spinstreams_codegen::calibrate;
+
+    /// The shared §4.1 calibration on the deterministic simulator.
+    fn calibrated(s: &Scenario, cfg: &OracleConfig) -> Topology {
+        calibrate(
+            &s.topology,
+            Some(&s.source_keys),
+            6_000,
+            cfg.min_calibration_samples,
+            &sim_executor(s.seed),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn sim_measurement_is_deterministic() {
         let cfg = OracleConfig::default();
         let s = scenario(3, &cfg);
         let run = || {
-            let cal = calibrate(&s.topology, &s.source_keys, &cfg, s.seed).unwrap();
+            let cal = calibrated(&s, &cfg);
             measure(
                 &cal,
                 &s.source_keys,
@@ -363,7 +350,7 @@ mod tests {
     fn calibration_recovers_declared_work() {
         let cfg = OracleConfig::default();
         let s = scenario(5, &cfg);
-        let cal = calibrate(&s.topology, &s.source_keys, &cfg, s.seed).unwrap();
+        let cal = calibrated(&s, &cfg);
         // Under pure synthetic time, every sufficiently-fed operator's
         // calibrated service time is at least its declared work_ns (joins
         // and windows may add per-invocation synthetic cost on top).

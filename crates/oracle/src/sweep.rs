@@ -390,7 +390,6 @@ mod tests {
     fn quick_cfg() -> OracleConfig {
         OracleConfig {
             items: 4_000,
-            calibration_items: 3_000,
             threaded_runs: 0,
             minimize: false,
             ..OracleConfig::default()

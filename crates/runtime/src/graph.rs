@@ -198,6 +198,16 @@ impl ActorGraph {
         self.actors[actor.0].factory = Some(factory);
     }
 
+    /// Lifts the pacing of every source: each generates as fast as
+    /// backpressure allows (`rate = f64::INFINITY`).
+    pub fn unpace_sources(&mut self) {
+        for spec in &mut self.actors {
+            if let Behavior::Source(cfg) = &mut spec.behavior {
+                cfg.rate = f64::INFINITY;
+            }
+        }
+    }
+
     /// Replaces every worker operator with `f(id, operator)` — the hook the
     /// chaos harness uses to wrap operators in fault injectors without
     /// rebuilding the graph.

@@ -1,8 +1,12 @@
-//! Calibration and predict-vs-measure drivers.
+//! Predict-vs-measure drivers; the §4.1 calibration is re-exported from
+//! `spinstreams-codegen`.
 
 use spinstreams_analysis::{evaluate_with_replicas, steady_state, SteadyStateReport};
-use spinstreams_codegen::{build_actor_graph, CodegenError, CodegenOptions, FusionGroup};
-use spinstreams_core::{KeyDistribution, OperatorId, Selectivity, ServiceTime, Topology};
+pub use spinstreams_codegen::calibrate;
+use spinstreams_codegen::{
+    build_actor_graph, CalibrationError, CodegenError, CodegenOptions, FusionGroup,
+};
+use spinstreams_core::{KeyDistribution, OperatorId, Topology};
 use spinstreams_runtime::{execute, EngineError, Executor, RunReport};
 use std::fmt;
 
@@ -14,6 +18,8 @@ pub enum HarnessError {
     Codegen(CodegenError),
     /// The runtime rejected or failed the actor graph.
     Engine(EngineError),
+    /// The §4.1 profiling run failed.
+    Calibration(CalibrationError),
     /// The run produced unusable measurements (e.g. too few items).
     Measurement {
         /// Description of the problem.
@@ -26,6 +32,7 @@ impl fmt::Display for HarnessError {
         match self {
             HarnessError::Codegen(e) => write!(f, "codegen: {e}"),
             HarnessError::Engine(e) => write!(f, "engine: {e}"),
+            HarnessError::Calibration(e) => e.fmt(f),
             HarnessError::Measurement { reason } => write!(f, "measurement: {reason}"),
         }
     }
@@ -42,6 +49,12 @@ impl From<CodegenError> for HarnessError {
 impl From<EngineError> for HarnessError {
     fn from(e: EngineError) -> Self {
         HarnessError::Engine(e)
+    }
+}
+
+impl From<CalibrationError> for HarnessError {
+    fn from(e: CalibrationError) -> Self {
+        HarnessError::Calibration(e)
     }
 }
 
@@ -119,68 +132,10 @@ pub fn experiment_executor(seed: u64) -> Executor {
     })
 }
 
-/// The base RNG seed of an executor configuration.
-fn executor_seed(executor: &Executor) -> u64 {
-    match executor {
-        Executor::Threads(c) => c.seed,
-        Executor::VirtualTime(c) => c.seed,
-    }
-}
-
 /// Number of items to generate so a run lasts roughly `secs` at the given
 /// predicted throughput (bounded to keep degenerate predictions sane).
 pub fn items_for_duration(predicted_throughput: f64, secs: f64) -> u64 {
     ((predicted_throughput * secs) as u64).clamp(2_000, 2_000_000)
-}
-
-/// Executes `topo` once and rewrites every operator's profiled service time
-/// and selectivity from the measured metrics (the §4.1 profiling step).
-///
-/// * service time ← mean busy time per consumed item;
-/// * selectivity ← identity input, measured `items_out / items_in` output
-///   (an equivalent rate factor for the §3.4 model);
-/// * the source's spec (generation rate) is left untouched.
-///
-/// Operators that consumed fewer than `min_samples` items keep their prior
-/// annotations (low-probability paths may starve in a short calibration
-/// run).
-///
-/// # Errors
-///
-/// Propagates codegen/engine failures.
-pub fn calibrate(
-    topo: &Topology,
-    source_keys: Option<&KeyDistribution>,
-    items: u64,
-    min_samples: u64,
-    executor: &Executor,
-) -> Result<Topology, HarnessError> {
-    let opts = CodegenOptions {
-        items,
-        seed: executor_seed(executor) ^ 0xCA11_B8A7,
-        ..CodegenOptions::default()
-    };
-    let plan = build_actor_graph(topo, source_keys.cloned(), &[], &[], &opts)?;
-    let report = execute(plan.graph, executor)?;
-
-    let mut b = topo.to_builder();
-    for id in topo.operator_ids() {
-        if id == topo.source() {
-            continue;
-        }
-        let actor = report.actor(plan.input_actor[id.0]);
-        if actor.items_in < min_samples {
-            continue;
-        }
-        let busy_per_item = actor.busy.as_secs_f64() / actor.items_in as f64;
-        let out_ratio = actor.items_out as f64 / actor.items_in as f64;
-        let spec = b.operator_mut(id);
-        spec.service_time = ServiceTime::from_secs(busy_per_item);
-        spec.selectivity = Selectivity::output(out_ratio.max(0.0));
-    }
-    b.build().map_err(|e| HarnessError::Measurement {
-        reason: format!("calibrated topology failed validation: {e}"),
-    })
 }
 
 /// Predicts the steady state of `topo` (optionally parallelized with
@@ -212,7 +167,7 @@ pub fn predict_vs_measure(
 
     let opts = CodegenOptions {
         items,
-        seed: executor_seed(executor),
+        seed: executor.seed(),
         ..CodegenOptions::default()
     };
     let plan = build_actor_graph(topo, source_keys.cloned(), replicas, fusions, &opts)?;
@@ -258,7 +213,7 @@ pub fn predict_vs_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spinstreams_core::OperatorSpec;
+    use spinstreams_core::{OperatorSpec, ServiceTime};
 
     fn engine() -> Executor {
         Executor::VirtualTime(spinstreams_runtime::SimConfig {

@@ -119,10 +119,7 @@ pub fn inspect(
     min_samples: u64,
 ) -> Result<Inspection, HarnessError> {
     let steady = steady_state(topo);
-    let seed = match executor {
-        Executor::Threads(c) => c.seed,
-        Executor::VirtualTime(c) => c.seed,
-    };
+    let seed = executor.seed();
     let mut plan = build_actor_graph(
         topo,
         None,

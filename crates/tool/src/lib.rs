@@ -5,11 +5,13 @@
 //! models, deploy the (optimized) topology on the runtime, and compare the
 //! model's predictions against reality.
 //!
-//! * [`calibrate`] — the profiling step: executes the topology once and
-//!   rewrites each operator's service time and selectivity from the
-//!   measured actor metrics ("executing the application as is for a
-//!   reasonable amount of time and instrumenting the code to collect
-//!   profiling measures").
+//! * [`calibrate`] — the profiling step ("executing the application as is
+//!   for a reasonable amount of time and instrumenting the code to collect
+//!   profiling measures"), shared with the serving layer and defined in
+//!   `spinstreams-codegen`: one run saturates the topology with an unpaced
+//!   source, so each operator's busy time per consumed item is its
+//!   non-blocking service time, and its `items_out / items_in` its
+//!   selectivity.
 //! * [`predict_vs_measure`] — runs Algorithm 1 on the calibrated topology
 //!   *and* executes the deployment, returning per-operator and
 //!   whole-topology comparisons (the data behind Figures 7–9).

@@ -216,10 +216,7 @@ pub fn predict_vs_measure_telemetry(
     drift: DriftConfig,
 ) -> Result<TelemetryRun, HarnessError> {
     let report = steady_state(topo);
-    let seed = match executor {
-        Executor::Threads(c) => c.seed,
-        Executor::VirtualTime(c) => c.seed,
-    };
+    let seed = executor.seed();
     let plan = build_actor_graph(
         topo,
         None,

@@ -174,6 +174,53 @@ fn analyze_rejects_unusable_service_times() {
 }
 
 #[test]
+fn analyze_rejects_unusable_integer_params() {
+    for (param, bad) in [("work_ns", "-7"), ("keep", "2.5"), ("work_ns", "NaN")] {
+        let doc = TOPOLOGY.replace(
+            r#"<param name="keep" value="2"/>"#,
+            &format!(r#"<param name="{param}" value="{bad}"/>"#),
+        );
+        let path = std::env::temp_dir().join(format!(
+            "ss-cli-bad-param-{}-{param}-{bad}.xml",
+            std::process::id()
+        ));
+        std::fs::write(&path, doc).expect("write temp topology");
+        let out = Command::new(env!("CARGO_BIN_EXE_spinstreams-cli"))
+            .args(["analyze", path.to_str().unwrap()])
+            .output()
+            .expect("spawn spinstreams CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A typed error (exit 1), not a panic (exit 101).
+        assert_eq!(out.status.code(), Some(1), "{param}={bad}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains("operator 4"), "{stderr}");
+        assert!(stderr.contains(&format!("{param}={bad:?}")), "{stderr}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The schema's integer-valued `<param>`s are exactly the fields the
+/// operator registry would truncate: a fractional value is rejected for
+/// those and parses for every other parameter.
+#[test]
+fn xml_rejects_exactly_the_params_the_registry_truncates() {
+    use spinstreams_operators::OperatorParams;
+    for name in OperatorParams::default().to_spec_params().keys() {
+        let m = std::collections::BTreeMap::from([(name.clone(), 2.5)]);
+        let truncated = OperatorParams::from_spec_params(&m).to_spec_params()[name] != 2.5;
+        let doc = format!(
+            r#"<topology>
+              <operator id="0" name="a" type="stateless" service-time="1">
+                <param name="{name}" value="2.5"/>
+              </operator>
+            </topology>"#
+        );
+        let parsed = spinstreams_xml::topology_from_xml(&doc);
+        assert_eq!(parsed.is_err(), truncated, "{name}: {parsed:?}");
+    }
+}
+
+#[test]
 fn bad_usage_and_bad_file_fail_cleanly() {
     let (_, stderr, ok) = run_cli(&["analyze"]);
     assert!(!ok);

@@ -70,6 +70,22 @@ fn invalid(reason: impl Into<String>) -> SchemaError {
     }
 }
 
+/// Whether `value` is usable for the operator factory parameter `name`.
+/// The integer-valued parameters of the operator registry (counts, window
+/// shapes, nanoseconds) need a whole number their field can hold; a cast
+/// would silently truncate anything else. Every other parameter takes any
+/// number.
+fn param_value_fits(name: &str, value: f64) -> bool {
+    // One past each field's largest value (`u64::MAX as f64` rounds up to
+    // 2^64; `usize` is 64 bits on every supported target).
+    let end = match name {
+        "work_ns" | "num_keys" | "window" | "slide" | "fanout" | "keep" | "k" => u64::MAX as f64,
+        "rounds" => u32::MAX as f64 + 1.0,
+        _ => return true,
+    };
+    value >= 0.0 && value.fract() == 0.0 && value < end
+}
+
 /// Adaptive re-optimization knobs carried on the `<settings>` element.
 ///
 /// Present only when the document opts in with `adaptive="true"`; every
@@ -544,8 +560,15 @@ pub fn topology_from_xml(text: &str) -> Result<Topology, SchemaError> {
             };
         }
         for p in node.children_named("param") {
-            spec.params
-                .insert(req_attr(p, "name")?.to_string(), num_attr(p, "value")?);
+            let name = req_attr(p, "name")?;
+            let raw = req_attr(p, "value")?;
+            let value = num_attr(p, "value")?;
+            if !param_value_fits(name, value) {
+                return Err(invalid(format!(
+                    "operator {id}: param {name}={raw:?} must be a whole number in range"
+                )));
+            }
+            spec.params.insert(name.to_string(), value);
         }
         ops.push((id, spec));
     }
@@ -709,6 +732,45 @@ mod tests {
                 other => panic!("service-time={bad}: {other:?}"),
             }
         }
+        // Integer params that a cast would silently truncate fail with the
+        // operator id and the raw value; fractional floats stay valid.
+        for (param, bad) in [
+            ("work_ns", "-7"),
+            ("window", "2.5"),
+            ("slide", "NaN"),
+            ("fanout", "inf"),
+            ("keep", "-1"),
+            ("num_keys", "1e30"),
+            ("k", "-inf"),
+            ("rounds", "4294967296"),
+        ] {
+            let doc = format!(
+                r#"<topology>
+                <operator id="0" name="a" type="stateless" service-time="1"/>
+                <operator id="1" name="b" type="stateless" service-time="1">
+                  <param name="threshold" value="0.25"/>
+                  <param name="{param}" value="{bad}"/>
+                </operator>
+                </topology>"#
+            );
+            match topology_from_xml(&doc).unwrap_err() {
+                SchemaError::Invalid { reason } => {
+                    assert!(reason.contains("operator 1"), "{reason}");
+                    assert!(reason.contains(param), "{reason}");
+                    assert!(reason.contains(&format!("{bad:?}")), "{reason}");
+                }
+                other => panic!("{param}={bad}: {other:?}"),
+            }
+        }
+        let doc = r#"<topology>
+            <operator id="0" name="a" type="stateless" service-time="1">
+              <param name="rounds" value="4294967295"/>
+              <param name="num_keys" value="1e18"/>
+              <param name="work_ns" value="0"/>
+              <param name="band" value="-0.5"/>
+            </operator>
+            </topology>"#;
+        assert!(topology_from_xml(doc).is_ok());
         // Partitioned without keys.
         let doc = r#"<topology><operator id="0" name="a" type="partitioned-stateful" service-time="1"/></topology>"#;
         assert!(matches!(

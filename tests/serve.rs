@@ -2,14 +2,18 @@
 //! shared engine must reproduce their solo sink counts exactly at one and
 //! two pool workers and across batch sizes; identical submissions must hit the plan
 //! cache and get the byte-identical plan; the admission model must queue
-//! and reject predicted oversubscription before deployment; and the PR 9
-//! migration hook must swap the cached plan in place.
+//! and reject predicted oversubscription before deployment; a cold
+//! submission must profile with the shared §4.1 calibration; and the
+//! adaptive migration hook must swap the cached plan in place.
 
 use spinstreams::analysis::{AdmissionConfig, AdmissionVerdict, PlanChange};
+use spinstreams::codegen::serialize_topology;
 use spinstreams::core::{OperatorSpec, ServiceTime, Topology};
-use spinstreams::runtime::{EngineConfig, ExecutorKind};
+use spinstreams::runtime::{EngineConfig, Executor, ExecutorKind};
 use spinstreams::serve::{ServeConfig, StreamService, SubmitRequest, TenantState};
-use spinstreams::tool::{run_multitenant_layer_with, tenant_topology, MultiTenantConfig};
+use spinstreams::tool::{
+    calibrate, run_multitenant_layer_with, tenant_topology, MultiTenantConfig,
+};
 
 const SEED: u64 = 7;
 
@@ -126,6 +130,92 @@ fn cache_hit_returns_the_byte_identical_plan() {
         .unwrap();
     assert!(!fresh.cache_hit);
     assert_ne!(fresh.key, cold.key);
+}
+
+// ---------------------------------------------------------------------
+// Cold path: the service profiles with the shared §4.1 calibration.
+// ---------------------------------------------------------------------
+
+/// The `op` lines of a canonical plan or topology text, split into
+/// `key=value` fields.
+fn op_fields(text: &str) -> Vec<Vec<(String, String)>> {
+    text.lines()
+        .filter(|l| l.starts_with("op "))
+        .map(|l| {
+            l.split_whitespace()
+                .filter_map(|f| f.split_once('='))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn cold_submit_calibrates_like_the_shared_profiling_run() {
+    let engine = EngineConfig {
+        executor: ExecutorKind::Pool { workers: 1 },
+        seed: 0x5E17,
+        ..EngineConfig::default()
+    };
+    let mut cfg = ServeConfig::new(engine);
+    cfg.calibration_items = 600;
+    // Declared 5 ms per item against ~50 µs of real work: a rewritten
+    // annotation cannot be mistaken for the declared one.
+    let mut b = Topology::builder();
+    let s = b.add_operator(
+        OperatorSpec::source("src", ServiceTime::from_micros(100.0)).with_kind("source"),
+    );
+    let f = b.add_operator(
+        OperatorSpec::stateless("filter", ServiceTime::from_millis(5.0))
+            .with_kind("filter")
+            .with_param("threshold", 0.3)
+            .with_param("work_ns", 50_000.0),
+    );
+    let m = b.add_operator(
+        OperatorSpec::stateless("map", ServiceTime::from_millis(5.0))
+            .with_kind("identity-map")
+            .with_param("work_ns", 20_000.0),
+    );
+    b.add_edge(s, f, 1.0).unwrap();
+    b.add_edge(f, m, 1.0).unwrap();
+    let topo = b.build().unwrap();
+
+    let mut svc = StreamService::new(cfg.clone());
+    let cold = svc
+        .submit(SubmitRequest::new("cold", topo.clone()).with_items(100))
+        .unwrap();
+    assert!(!cold.cache_hit);
+    let shared = calibrate(
+        &topo,
+        None,
+        cfg.calibration_items,
+        cfg.calibration_min_samples,
+        &Executor::Threads(cfg.engine.clone()),
+    )
+    .unwrap();
+
+    let served = op_fields(svc.plan_text("cold").unwrap());
+    let expected = op_fields(&serialize_topology(&shared));
+    assert_eq!(served.len(), 3);
+    for (i, (got, want)) in served.iter().zip(&expected).enumerate() {
+        for ((gk, gv), (wk, wv)) in got.iter().zip(want) {
+            assert_eq!(gk, wk);
+            if gk == "svc_s" && i > 0 {
+                // Measured busy time: rewritten on both sides, equal only
+                // up to timing noise.
+                for v in [gv, wv] {
+                    assert!(v.parse::<f64>().unwrap() < 1e-3, "op {i}: svc_s={v}");
+                }
+            } else {
+                // Same seed and item count: identical counts, so identical
+                // selectivities; the source annotation is untouched.
+                assert_eq!(gv, wv, "op {i} field {gk}");
+            }
+        }
+    }
+    // The filter's measured selectivity, not its declared one.
+    let sel = &served[1].iter().find(|(k, _)| k == "sel_out").unwrap().1;
+    assert_ne!(sel, "1");
 }
 
 // ---------------------------------------------------------------------
